@@ -19,9 +19,9 @@ reference implementation that stays in the tree:
   :meth:`CacheModel.commit_set_replays`) vs the per-access
   ``read``/``write`` loop on the same stream, checked bit-identical;
 - ``fig6``      — Figure 6 coverage sweep end-to-end wall clock;
-- ``fig4``      — a Figure 4 scheme-panel slice end-to-end on all
-  three engines (scalar, vectorized, batched) and both substrates,
-  checked bit-identical per cell.
+- ``fig4``      — a Figure 4 scheme-panel slice end-to-end on both
+  engines (scalar, batched) and both substrates, checked
+  bit-identical per cell.
 
 Usage::
 
@@ -69,9 +69,10 @@ from repro.core.linestate import LineErrorModel
 from repro.faults.cell_model import CellFaultModel
 from repro.faults.fault_map import FaultMap
 from repro.gpu.config import GpuConfig
+from repro.gpu.engine import ENGINES
 from repro.harness.experiments import fig6_coverage
 from repro.metrics import METRICS
-from repro.harness.runner import LV_VOLTAGE, CellSpec, run_cell, trace_for
+from repro.harness.runner import LV_VOLTAGE, run_cell, trace_for
 from repro.scenario.config import cell_scenario
 from repro.scenario.runfile import scenario_fingerprint
 from repro.testing.invariants import INVARIANTS_ENV
@@ -89,7 +90,7 @@ _QUICK = {
     "fig6": False,
     # 6k accesses/CU: past the warmup-dominated regime (cold Killi
     # caches are nearly all misses, which batch no better than the
-    # per-access loop), so the killi batched-vs-vectorized gate holds
+    # per-access loop), so the killi batched-vs-scalar gate holds
     # with real margin even on noisy runners.
     "fig4_accesses": 6_000,
     "fig4_reps": 2,
@@ -489,8 +490,8 @@ def bench_fig6() -> dict:
 
 def _fig4_cell(workload, scheme, accesses, engine, substrate):
     """One timed fig4 cell; returns (result dict sans timing, seconds)."""
-    spec = CellSpec(
-        workload=workload, scheme=scheme, voltage=LV_VOLTAGE, seed=42,
+    spec = cell_scenario(
+        workload, scheme, voltage=LV_VOLTAGE, seed=42,
         accesses_per_cu=accesses, engine=engine, substrate=substrate,
     )
     start = time.perf_counter()
@@ -503,14 +504,14 @@ def _fig4_cell(workload, scheme, accesses, engine, substrate):
 
 
 def bench_fig4(accesses: int, reps: int = 1) -> dict:
-    """End-to-end Figure 4 scheme panel on all three engines.
+    """End-to-end Figure 4 scheme panel on both engines.
 
     Every cell of the (xsbench, fft) x (baseline, dected, flair,
-    msecc, killi_1:8) panel runs on scalar, vectorized and batched —
-    timed on the SoA substrate (best of ``reps``) and cross-checked
-    bit-identical on *both* substrates.  ``seconds`` is the batched
-    engine's panel total (the headline number tracked across BENCH
-    files).  ``speedup_vectorized`` — the acceptance headline — is the
+    msecc, killi_1:8) panel runs on scalar and batched — timed on the
+    SoA substrate (best of ``reps``) and cross-checked bit-identical
+    on *both* substrates.  ``seconds`` is the batched engine's panel
+    total (the headline number tracked across BENCH files).
+    ``speedup_vs_scalar`` — the acceptance headline — is the
     batched-vs-scalar speedup as the **geometric mean of per-cell
     ratios** (each cell weighted equally, the standard cross-benchmark
     mean); the total-seconds ratio ``speedup_batched_aggregate`` rides
@@ -518,10 +519,9 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
 
     Killi cells batch through the cluster interpreter (simulated
     against copy-on-write shadows per ECC-contention cluster, committed
-    in bulk), so batched must now beat vectorized on *every* Killi
-    cell; ``killi_batched_vs_vectorized_min`` and
-    ``killi_speedup_batched_min`` record the worst cell and are gated
-    by ``--fail-if-slower``.  ``batched_telemetry`` captures the
+    in bulk), so batched must beat scalar on *every* Killi cell;
+    ``killi_batched_vs_scalar_min`` records the worst cell and is
+    gated by ``--fail-if-slower``.  ``batched_telemetry`` captures the
     engine's guard-abort/fallback counters accumulated over the panel.
     """
     workloads = list(_FIG4_WORKLOADS)
@@ -532,14 +532,14 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
         trace_for(workload, accesses, GpuConfig().n_cus, 42)
     snap = METRICS.snapshot()
     counters_before = dict(snap.get("counters", snap) or {})
-    totals = {"scalar": 0.0, "vectorized": 0.0, "batched": 0.0}
+    totals = {engine: 0.0 for engine in ENGINES}
     ratios = []
     per_cell = []
     for workload in workloads:
         for scheme in schemes:
             results = {}
             times = {}
-            for engine in ("scalar", "vectorized", "batched"):
+            for engine in ENGINES:
                 payload, seconds = _fig4_cell(
                     workload, scheme, accesses, engine, "soa"
                 )
@@ -565,12 +565,8 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
                 "workload": workload,
                 "scheme": scheme,
                 "scalar_s": round(times["scalar"], 3),
-                "vectorized_s": round(times["vectorized"], 3),
                 "batched_s": round(times["batched"], 3),
                 "speedup_batched": round(ratio, 2),
-                "speedup_vs_vectorized": round(
-                    times["vectorized"] / times["batched"], 2
-                ),
             })
     geomean = float(np.exp(np.mean(np.log(ratios))))
     killi_cells = [c for c in per_cell if c["scheme"].startswith("killi")]
@@ -598,20 +594,16 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
     return {
         "seconds": round(totals["batched"], 2),
         "scalar_seconds": round(totals["scalar"], 2),
-        "vectorized_seconds": round(totals["vectorized"], 2),
-        "speedup_vectorized": round(geomean, 2),
+        "speedup_vs_scalar": round(geomean, 2),
         "speedup_batched_aggregate": round(
             totals["scalar"] / totals["batched"], 2
         ),
-        "killi_speedup_batched_min": round(
+        "killi_batched_vs_scalar_min": round(
             min(c["speedup_batched"] for c in killi_cells), 2
-        ) if killi_cells else None,
-        "killi_batched_vs_vectorized_min": round(
-            min(c["speedup_vs_vectorized"] for c in killi_cells), 2
         ) if killi_cells else None,
         "batched_telemetry": batched_telemetry,
         "engines_bit_identical": True,
-        "engines": ["scalar", "vectorized", "batched"],
+        "engines": list(ENGINES),
         "substrates": ["soa", "object"],
         "workloads": len(workloads),
         "schemes": len(schemes),
@@ -940,9 +932,9 @@ def main(argv=None) -> int:
         print(
             f"  fig4:      {fig4['seconds']:.2f}s batched "
             f"(scalar {fig4['scalar_seconds']:.2f}s, geomean "
-            f"{fig4['speedup_vectorized']:.1f}x, aggregate "
+            f"{fig4['speedup_vs_scalar']:.1f}x, aggregate "
             f"{fig4['speedup_batched_aggregate']:.1f}x, killi vs "
-            f"vectorized min {fig4['killi_batched_vs_vectorized_min']}x) "
+            f"scalar min {fig4['killi_batched_vs_scalar_min']}x) "
             f"for {fig4['workloads']}x{fig4['schemes']} cells at "
             f"{fig4['accesses_per_cu']} accesses/CU"
         )
@@ -975,14 +967,14 @@ def main(argv=None) -> int:
                 f"({fuzz_ov['disarmed_overhead_pct']:+.2f}%)"
             )
         fig4 = results["benchmarks"].get("fig4_slice")
-        if fig4 is not None and fig4["speedup_vectorized"] < 1.0:
-            slower.append(f"fig4_slice ({fig4['speedup_vectorized']}x)")
+        if fig4 is not None and fig4["speedup_vs_scalar"] < 1.0:
+            slower.append(f"fig4_slice ({fig4['speedup_vs_scalar']}x)")
         if fig4 is not None and (
-            fig4["killi_batched_vs_vectorized_min"] or 1.0
+            fig4["killi_batched_vs_scalar_min"] or 1.0
         ) < 1.0:
             slower.append(
-                "fig4 killi cell batched slower than vectorized "
-                f"({fig4['killi_batched_vs_vectorized_min']}x)"
+                "fig4 killi cell batched slower than scalar "
+                f"({fig4['killi_batched_vs_scalar_min']}x)"
             )
         if slower:
             print(f"FAIL: fast path slower than reference: {', '.join(slower)}")

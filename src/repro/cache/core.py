@@ -29,11 +29,11 @@ Formal access protocol: an access is an :class:`AccessTransaction`
 (address + direction), :meth:`CacheModel.execute` resolves it to a
 latency in cycles, and the scheme-visible classification of a hit is
 an :class:`~repro.cache.hooks.AccessOutcome`.  The scalar engine is a
-thin interpreter of this layer; the vectorized and batched tiers
-derive their preconditions from :attr:`CacheModel.semantics_batchable`
-/ :meth:`CacheModel.set_replay_profile` and push their bulk effects
-back through :meth:`CacheModel.commit_set_replays` — they never
-re-state the semantics themselves.
+thin interpreter of this layer; the batched engine derives its
+preconditions from :attr:`CacheModel.semantics_batchable` /
+:meth:`CacheModel.set_replay_profile` and pushes its bulk effects
+back through :meth:`CacheModel.commit_set_replays` — it never
+re-states the semantics itself.
 """
 
 from __future__ import annotations

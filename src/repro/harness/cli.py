@@ -32,6 +32,7 @@ import sys
 from repro.harness import experiments
 from repro.metrics import METRICS
 from repro.harness.runner import CampaignError
+from repro.scenario.registries import ENGINE_REGISTRY, SUBSTRATE_REGISTRY
 from repro.utils.tables import format_table
 
 __all__ = ["main", "scenario_main"]
@@ -217,6 +218,7 @@ def _run_table7() -> None:
 def _run_sec55(args) -> None:
     data = experiments.sec55_lower_vmin(
         accesses_per_cu=min(args.accesses, 8000),
+        seed=args.seed,
         jobs=args.jobs,
         cache_dir=args.cache,
         retries=args.retries,
@@ -376,12 +378,7 @@ def _scenario_list(args) -> int:
     import glob
     import os
 
-    from repro.scenario.registries import (
-        ENGINE_REGISTRY,
-        SCHEME_REGISTRY,
-        SUBSTRATE_REGISTRY,
-        WORKLOAD_REGISTRY,
-    )
+    from repro.scenario.registries import SCHEME_REGISTRY, WORKLOAD_REGISTRY
     from repro.scenario.runfile import load_scenario
 
     paths = sorted(
@@ -489,16 +486,19 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--engine", default="vectorized", metavar="NAME",
+        "--engine", default="batched", choices=ENGINE_REGISTRY.names(),
+        metavar="NAME",
         help="simulation inner loop for Figure 4/5 cells — any name in "
-             "the engine registry (scalar, vectorized, batched); all "
-             "engines are pinned bit-identical, so this only changes "
+             f"the engine registry ({', '.join(ENGINE_REGISTRY.names())}); "
+             "all engines are pinned bit-identical, so this only changes "
              "wall-clock time",
     )
     parser.add_argument(
-        "--substrate", default=None, metavar="NAME",
-        help="tag/LRU backing (object, soa); default = session default. "
-             "Bit-identical across substrates",
+        "--substrate", default=None, choices=SUBSTRATE_REGISTRY.names(),
+        metavar="NAME",
+        help="tag/LRU backing "
+             f"({', '.join(SUBSTRATE_REGISTRY.names())}); default = session "
+             "default. Bit-identical across substrates",
     )
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",

@@ -99,7 +99,7 @@ def fig4_fig5_performance(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     progress=None,
-    engine: str = "vectorized",
+    engine: str = "batched",
     substrate: Optional[str] = None,
     retries: int = 0,
     timeout: Optional[float] = None,

@@ -73,7 +73,7 @@ from repro.metrics import METRICS
 from repro.utils.rng import RngFactory
 
 __all__ = [
-    "CellSpec",
+    "LV_VOLTAGE",
     "CellResult",
     "CellFailure",
     "CampaignError",
@@ -122,62 +122,7 @@ def trace_for(workload: str, accesses_per_cu: int, n_cus: int, seed: int):
     )
 
 
-# -- cell specification and result -------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One independent experiment cell (compatibility shim).
-
-    The typed schema now lives in
-    :class:`~repro.scenario.config.ScenarioConfig`; ``CellSpec`` keeps
-    the historical flat call shape and delegates normalisation and
-    fingerprinting to its scenario projection, so the two construction
-    paths can never drift apart.  The tuple (workload, scheme, voltage,
-    seed, accesses_per_cu, scheme_config, write_back) fully determines
-    the simulation via named RNG streams; ``engine`` picks the inner
-    loop and ``substrate`` the tag/LRU backing, but neither changes the
-    numbers (all combinations are pinned bit-equivalent), so both are
-    excluded from the cache fingerprint.
-    """
-
-    workload: str
-    scheme: str
-    voltage: float = LV_VOLTAGE
-    seed: int = 42
-    accesses_per_cu: int = 30000
-    scheme_config: tuple = ()
-    """KilliConfig overrides as sorted (field, value) pairs; pass a
-    plain dict — it is normalised on construction."""
-    write_back: bool = False
-    engine: str = "vectorized"
-    substrate: Optional[str] = None
-    """Tag/LRU substrate ("object" / "soa"); None = session default."""
-
-    def __post_init__(self):
-        if isinstance(self.scheme_config, dict):
-            object.__setattr__(
-                self, "scheme_config", tuple(sorted(self.scheme_config.items()))
-            )
-        else:
-            object.__setattr__(self, "scheme_config", tuple(self.scheme_config))
-
-    @property
-    def scheme_overrides(self) -> dict:
-        return dict(self.scheme_config)
-
-    def to_scenario(self) -> ScenarioConfig:
-        """The typed scenario equivalent of this cell."""
-        return ScenarioConfig.from_cell_spec(self)
-
-    def fingerprint(self) -> str:
-        """Stable content key for the on-disk result cache.
-
-        Delegates to the scenario's canonical fingerprint, which is
-        byte-compatible with the payload this class used to hash —
-        pre-existing result caches stay warm.
-        """
-        return self.to_scenario().fingerprint()
+# -- cell result --------------------------------------------------------------
 
 
 @dataclass
@@ -241,13 +186,11 @@ class CellResult:
 def run_cell(spec) -> CellResult:
     """Execute one cell: fresh GPU, deterministic inputs, full metrics.
 
-    ``spec`` may be a legacy :class:`CellSpec` or a
-    :class:`~repro.scenario.config.ScenarioConfig`; both normalise to
-    the same scenario and produce bit-identical results.  Pure function
-    of ``spec``: reproduces exactly what the serial Figure 4/5 loop
-    computed for the same (workload, scheme, voltage, seed) — same
-    fault-map stream, same trace stream, same per-cell scheme RNG
-    namespace.
+    ``spec`` is a :class:`~repro.scenario.config.ScenarioConfig`.
+    Pure function of ``spec``: reproduces exactly what the serial
+    Figure 4/5 loop computed for the same (workload, scheme, voltage,
+    seed) — same fault-map stream, same trace stream, same per-cell
+    scheme RNG namespace.
     """
     scenario = as_scenario(spec)
     workload = scenario.workload.name
@@ -775,9 +718,9 @@ def run_cells(
     Parameters
     ----------
     specs:
-        Cells to run — legacy :class:`CellSpec` objects,
-        :class:`~repro.scenario.config.ScenarioConfig` scenarios, or a
-        mix.  Results come back in the same order.  Specs sharing a
+        Cells to run, as
+        :class:`~repro.scenario.config.ScenarioConfig` scenarios.
+        Results come back in the same order.  Specs sharing a
         fingerprint are simulated once and fanned back out.
     jobs:
         Worker processes; ``1`` runs in-process (no pool).  Results

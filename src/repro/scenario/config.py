@@ -28,9 +28,8 @@ cache.  The fingerprint is computed from a canonical payload in which
   cache entries).
 
 For a default-``gpu`` scenario the payload is byte-identical to the
-one the legacy :class:`~repro.harness.runner.CellSpec` hashed, so
-pre-existing result caches stay warm; ``CellSpec`` itself survives as
-a thin compatibility shim whose ``fingerprint()`` delegates here.
+one the flat per-cell spec of earlier releases hashed, so pre-existing
+result caches stay warm.
 """
 
 from __future__ import annotations
@@ -107,9 +106,8 @@ class SchemeSection:
 
     ``config`` holds :class:`~repro.core.KilliConfig` field overrides
     (ablation switches) as sorted ``(field, value)`` pairs — pass a
-    plain dict, it is normalised on construction (this is the
-    canonicalisation :class:`~repro.harness.runner.CellSpec` used to
-    hand-roll).  ``write_back`` swaps in the write-back Killi variant.
+    plain dict, it is normalised on construction.  ``write_back`` swaps
+    in the write-back Killi variant.
     """
 
     name: str = "baseline"
@@ -150,7 +148,7 @@ class EngineSection:
     """Execution backend.  Excluded from fingerprints: all engine ×
     substrate combinations are pinned bit-identical."""
 
-    engine: str = "vectorized"
+    engine: str = "batched"
     substrate: Optional[str] = None
 
 
@@ -328,48 +326,6 @@ class ScenarioConfig:
             )
         return self
 
-    # -- CellSpec compatibility --------------------------------------------
-
-    def to_cell_spec(self):
-        """Project onto the legacy :class:`~repro.harness.runner.CellSpec`.
-
-        Only default-``gpu`` scenarios are expressible; everything else
-        must run through the scenario path directly.
-        """
-        if self.gpu != GpuSection():
-            raise ValueError(
-                "a scenario with a non-default [gpu] section cannot be "
-                "expressed as a legacy CellSpec; run it as a scenario"
-            )
-        from repro.harness.runner import CellSpec
-
-        return CellSpec(
-            workload=self.workload.name,
-            scheme=self.scheme.name,
-            voltage=self.fault.voltage,
-            seed=self.fault.seed,
-            accesses_per_cu=self.workload.accesses_per_cu,
-            scheme_config=self.scheme.config,
-            write_back=self.scheme.write_back,
-            engine=self.engine.engine,
-            substrate=self.engine.substrate,
-        )
-
-    @classmethod
-    def from_cell_spec(cls, spec) -> "ScenarioConfig":
-        return cls(
-            scheme=SchemeSection(
-                name=spec.scheme,
-                config=spec.scheme_config,
-                write_back=spec.write_back,
-            ),
-            workload=WorkloadSection(
-                name=spec.workload, accesses_per_cu=spec.accesses_per_cu
-            ),
-            fault=FaultSection(voltage=spec.voltage, seed=spec.seed),
-            engine=EngineSection(engine=spec.engine, substrate=spec.substrate),
-        )
-
     def replace(self, **sections) -> "ScenarioConfig":
         """``dataclasses.replace`` shorthand (sections may be dicts)."""
         return dataclasses.replace(self, **sections)
@@ -387,14 +343,13 @@ def cell_scenario(
     accesses_per_cu: int = 30000,
     scheme_config=(),
     write_back: bool = False,
-    engine: str = "vectorized",
+    engine: str = "batched",
     substrate: Optional[str] = None,
     gpu: Optional[GpuSection] = None,
 ) -> ScenarioConfig:
     """Build a single-cell scenario from flat (workload, scheme, ...) knobs.
 
-    This is the construction path the per-figure harness runners use;
-    it mirrors the old ``CellSpec(...)`` call shape one-for-one.
+    This is the construction path the per-figure harness runners use.
     """
     return ScenarioConfig(
         scheme=SchemeSection(name=scheme, config=scheme_config, write_back=write_back),
@@ -406,12 +361,7 @@ def cell_scenario(
 
 
 def as_scenario(spec) -> ScenarioConfig:
-    """Normalise a ``ScenarioConfig`` or legacy ``CellSpec`` to a scenario."""
+    """Check that ``spec`` is a ``ScenarioConfig`` and return it."""
     if isinstance(spec, ScenarioConfig):
         return spec
-    to_scenario = getattr(spec, "to_scenario", None)
-    if to_scenario is not None:
-        return to_scenario()
-    raise TypeError(
-        f"expected a ScenarioConfig or CellSpec, got {type(spec).__name__}"
-    )
+    raise TypeError(f"expected a ScenarioConfig, got {type(spec).__name__}")

@@ -28,6 +28,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.gpu.engine import ENGINES
 from repro.scenario.config import ScenarioConfig, as_scenario
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
 #: Every engine × substrate combination the equivalence contract pins.
 COMBOS: Tuple[Tuple[str, str], ...] = tuple(
     (engine, substrate)
-    for engine in ("scalar", "vectorized", "batched")
+    for engine in ENGINES
     for substrate in ("object", "soa")
 )
 

@@ -1,7 +1,7 @@
-"""Engine equivalence: scalar vs vectorized vs batched.
+"""Engine equivalence: scalar vs batched.
 
-The acceptance contract for the fast paths: for every workload,
-scheme, substrate and engine, all inner loops produce bit-identical
+The acceptance contract for the fast path: for every workload,
+scheme, substrate and engine, both inner loops produce bit-identical
 cycles, per-CU cycles and every CacheStats counter (L2 and all L1s).
 Pinned here on a workload x scheme matrix, a seeded randomized fuzz
 sweep, and directed edge cases (ragged streams, bank conflicts, empty
@@ -15,14 +15,14 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import UnprotectedScheme
 from repro.gpu.config import GpuConfig
-from repro.gpu.engine import GpuSimulator
-from repro.harness.runner import CellSpec, fault_map_for, make_scheme, run_cell
+from repro.gpu.engine import ENGINES, GpuSimulator
+from repro.harness.runner import fault_map_for, make_scheme, run_cell
 from repro.traces import workload_trace
 from repro.traces.base import CuStream, Trace
 from repro.metrics import METRICS
+from repro.scenario.config import cell_scenario
 from repro.utils.rng import RngFactory
 
-ENGINES = ("scalar", "vectorized", "batched")
 SUBSTRATES = ("object", "soa")
 WORKLOADS = ("fft", "xsbench", "nekbone")
 SCHEMES = ("baseline", "killi_1:64", "dected")
@@ -334,10 +334,9 @@ class TestBatchedFallback:
         for scheme in ("killi_1:8", "killi_1:64"):
             ref = None
             for engine in ENGINES:
-                spec = CellSpec(
-                    workload="fft", scheme=scheme, seed=13,
-                    accesses_per_cu=400, write_back=True, engine=engine,
-                    substrate="soa",
+                spec = cell_scenario(
+                    "fft", scheme, seed=13, accesses_per_cu=400,
+                    write_back=True, engine=engine, substrate="soa",
                 )
                 d = run_cell(spec).to_dict()
                 d.pop("elapsed_s", None)
@@ -358,7 +357,7 @@ class TestEngineSelection:
 
     def test_per_run_override(self):
         sim = GpuSimulator(small_config(), UnprotectedScheme(),
-                           engine="vectorized")
+                           engine="batched")
         trace = make_trace([[0, 64], [128], [192]])
         result = sim.run(trace, engine="scalar")
         assert result.cycles > 0

@@ -14,7 +14,7 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.cache.core import WriteThroughCache
 from repro.gpu.config import GpuConfig
-from repro.gpu.engine import GpuSimulator
+from repro.gpu.engine import ENGINES, GpuSimulator
 from repro.harness.experiments import fig4_fig5_performance
 from repro.harness.runner import fault_map_for, make_scheme, scheme_names
 from repro.traces import workload_trace
@@ -30,7 +30,7 @@ def run_with(
     workload: str,
     scheme_name: str,
     seed: int = 21,
-    engine: str = "vectorized",
+    engine: str = "batched",
     accesses: int = 700,
 ):
     gpu_config = GpuConfig()
@@ -93,8 +93,8 @@ class TestSchemeAxis:
     def test_bit_identical(self, scheme):
         diff_substrates(
             "xsbench", scheme, 500,
-            combos=[("vectorized", "soa")],
-            reference=("vectorized", "object"),
+            combos=[("scalar", "soa"), ("batched", "soa")],
+            reference=("scalar", "object"),
         )
 
 
@@ -105,20 +105,20 @@ class TestWorkloadAxis:
     def test_bit_identical(self, workload):
         diff_substrates(
             workload, "killi_1:64", 500,
-            combos=[("vectorized", "soa")],
-            reference=("vectorized", "object"),
+            combos=[("scalar", "soa"), ("batched", "soa")],
+            reference=("scalar", "object"),
         )
 
 
 class TestEngineSubstrateProduct:
-    """All four scalar/vectorized x substrate combinations agree."""
+    """All four scalar/batched x substrate combinations agree."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_bit_identical(self, workload, scheme):
         combos = [
             (engine, substrate)
-            for engine in ("scalar", "vectorized")
+            for engine in ENGINES
             for substrate in ("object", "soa")
         ]
         diff_substrates(

@@ -13,10 +13,9 @@ from repro.cache.core import WriteBackCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import UnprotectedScheme
 from repro.gpu.config import GpuConfig
-from repro.gpu.engine import GpuSimulator
+from repro.gpu.engine import ENGINES, GpuSimulator
 from repro.traces.base import CuStream, Trace
 
-ENGINES = ("scalar", "vectorized", "batched")
 SUBSTRATES = ("object", "soa")
 
 

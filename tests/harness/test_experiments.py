@@ -175,6 +175,44 @@ class TestCli:
         assert main(["sec55", "--accesses", "400"]) == 0
         assert "Section 5.5" in capsys.readouterr().out
 
+    def test_sec55_forwards_seed(self, capsys):
+        from repro.harness.cli import main
+        from repro.harness.experiments import sec55_lower_vmin
+
+        expected = sec55_lower_vmin(seed=7, accesses_per_cu=300)
+        assert main(["sec55", "--seed", "7", "--accesses", "300"]) == 0
+        rows = {
+            cells[0]: cells[1:]
+            for cells in (
+                [cell.strip() for cell in line.split("|")]
+                for line in capsys.readouterr().out.splitlines()
+            )
+            if len(cells) == 4
+        }
+        for key in ("baseline", "msecc", "killi_secded_1:8", "killi_olsc_1:8"):
+            row = expected[key]
+            assert rows[key] == [
+                f"{row.get('normalized_time', 1.0):.3f}",
+                f"{row['mpki']:.1f}",
+                f"{row['disabled_fraction']:.2%}",
+            ], key
+
+    @pytest.mark.parametrize(
+        "flag, value, names",
+        [("--engine", "vectorized", ("scalar", "batched")),
+         ("--substrate", "nope", ("object", "soa"))],
+    )
+    def test_unknown_backend_is_a_usage_error(self, capsys, flag, value, names):
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig4", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{value}'" in err
+        for name in names:
+            assert name in err
+
     def test_csv_export(self, tmp_path, capsys):
         from repro.harness.cli import main
 

@@ -13,14 +13,14 @@ from repro.harness.journal import (
     finished_fingerprints,
     read_journal,
 )
-from repro.harness.runner import CellSpec, run_cells
+from repro.harness.runner import run_cells
+from repro.scenario.config import ScenarioConfig, cell_scenario
 
 ACCESSES = 200
 
 
-def spec(scheme: str) -> CellSpec:
-    return CellSpec(workload="nekbone", scheme=scheme,
-                    seed=11, accesses_per_cu=ACCESSES)
+def spec(scheme: str) -> ScenarioConfig:
+    return cell_scenario("nekbone", scheme, seed=11, accesses_per_cu=ACCESSES)
 
 
 def comparable(cell) -> dict:

@@ -2,11 +2,9 @@
 
 import hashlib
 import json
-from dataclasses import asdict
 
 import pytest
 
-from repro.harness.runner import CellSpec
 from repro.scenario.config import (
     SCHEMA_VERSION,
     EngineSection,
@@ -45,42 +43,36 @@ class TestFingerprintStability:
         round_tripped = ScenarioConfig.from_json(original.to_json())
         assert round_tripped.fingerprint() == original.fingerprint()
 
-    def test_cell_spec_shim_hashes_identically(self):
-        spec = CellSpec(
-            "fft", "killi_1:64",
-            voltage=0.65, seed=7, accesses_per_cu=1234,
-            scheme_config={"priority_replacement": False, "dfh_bits": 2},
+    def test_byte_compatible_with_legacy_cellspec_payload(self):
+        """The exact payload the flat per-cell spec of earlier releases
+        hashed: existing on-disk result caches must stay warm."""
+        legacy_payload = {
+            "workload": "nekbone",
+            "scheme": "killi_1:32",
+            "voltage": 0.6,
+            "seed": 3,
+            "accesses_per_cu": 500,
+            "scheme_config": [["dfh_bits", 3]],
+            "write_back": False,
+            "schema": 1,
+        }
+        legacy = hashlib.sha256(
+            json.dumps(legacy_payload, sort_keys=True, default=str).encode("utf-8")
+        ).hexdigest()
+        assert legacy == (
+            "26a33dad0af6326d8f00f1eeab016e0c6bd5d6ded752cc8e148ca395480aad5e"
         )
         scenario = cell_scenario(
-            "fft", "killi_1:64",
-            voltage=0.65, seed=7, accesses_per_cu=1234,
-            scheme_config={"dfh_bits": 2, "priority_replacement": False},
-        )
-        assert spec.fingerprint() == scenario.fingerprint()
-        assert spec.to_scenario() == scenario
-        assert as_scenario(spec) == scenario
-        assert scenario.to_cell_spec() == spec
-
-    def test_byte_compatible_with_legacy_cellspec_payload(self):
-        """The exact payload the pre-scenario CellSpec hashed."""
-        spec = CellSpec(
             "nekbone", "killi_1:32",
             voltage=0.6, seed=3, accesses_per_cu=500,
             scheme_config={"dfh_bits": 3}, write_back=False,
         )
-        payload = asdict(spec)
-        del payload["engine"]
-        del payload["substrate"]
-        payload["schema"] = 1
-        legacy = hashlib.sha256(
-            json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
-        ).hexdigest()
-        assert spec.fingerprint() == legacy
-        assert spec.to_scenario().fingerprint() == legacy
+        assert scenario.canonical_payload() == legacy_payload
+        assert scenario.fingerprint() == legacy
 
     def test_engine_and_substrate_do_not_change_the_fingerprint(self):
         base = cell_scenario("fft", "baseline")
-        for engine in ("vectorized", "scalar"):
+        for engine in ("batched", "scalar"):
             for substrate in (None, "object", "soa"):
                 variant = base.replace(
                     engine=EngineSection(engine=engine, substrate=substrate)
@@ -120,6 +112,16 @@ class TestSchema:
         with pytest.raises(ValueError, match="voltage"):
             cell_scenario("fft", "baseline", voltage=2.0).validate()
 
+    def test_as_scenario_rejects_other_types(self):
+        scenario = cell_scenario("fft", "baseline")
+        assert as_scenario(scenario) is scenario
+        with pytest.raises(TypeError, match="expected a ScenarioConfig"):
+            as_scenario({"workload": "fft"})
+
+    def test_removed_engine_rejected(self):
+        with pytest.raises(KeyError, match="unknown engine 'vectorized'"):
+            cell_scenario("fft", "baseline", engine="vectorized").validate()
+
     def test_scheme_options_validated_against_factory(self):
         with pytest.raises(ValueError, match="only apply to Killi"):
             cell_scenario(
@@ -129,13 +131,6 @@ class TestSchema:
             cell_scenario(
                 "fft", "killi_1:64", scheme_config={"not_a_field": 1}
             ).validate()
-
-    def test_non_default_gpu_not_expressible_as_cell_spec(self):
-        scenario = cell_scenario("fft", "baseline").replace(
-            gpu=GpuSection(n_cus=4)
-        )
-        with pytest.raises(ValueError, match="non-default"):
-            scenario.to_cell_spec()
 
     def test_gpu_section_materialises_gpu_config(self):
         gpu = GpuSection(n_cus=4, l2_size_bytes=512 * 1024).to_gpu_config()

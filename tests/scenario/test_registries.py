@@ -136,7 +136,7 @@ class TestOtherRegistries:
             workload_trace("nope", 100)
 
     def test_engines_registered_and_unknown_engine_raises_valueerror(self):
-        assert ENGINE_REGISTRY.names() == ["vectorized", "scalar", "batched"]
+        assert ENGINE_REGISTRY.names() == ["scalar", "batched"]
         with pytest.raises(ValueError, match="unknown engine 'nope'"):
             GpuSimulator(engine="nope")
 

@@ -1,4 +1,4 @@
-"""Scenario files: loading, expansion, equivalence with the legacy path."""
+"""Scenario files: loading, expansion, equivalence with flat cells."""
 
 import json
 import os
@@ -6,8 +6,8 @@ import os
 import pytest
 
 from repro.harness.cli import main as cli_main
-from repro.harness.runner import CellSpec, run_cell, run_cells
-from repro.scenario.config import ScenarioConfig
+from repro.harness.runner import run_cell, run_cells
+from repro.scenario.config import ScenarioConfig, cell_scenario
 from repro.scenario.runfile import (
     Scenario,
     ScenarioMatrix,
@@ -93,16 +93,17 @@ class TestExpansion:
 
 
 class TestEquivalence:
-    """A scenario run must be bit-identical to the legacy CellSpec run."""
+    """A scenario-file run must be bit-identical to the same cells built
+    from flat knobs with :func:`cell_scenario`."""
 
     def test_ci_smoke_scenario_matches_legacy_cells(self):
         scenario = load_scenario(os.path.join(EXAMPLES, "ci_smoke.toml"))
         via_scenario = run_cells(scenario.validate())
-        via_legacy = run_cells(
+        via_flat = run_cells(
             [
-                CellSpec(
-                    workload=cell.workload.name,
-                    scheme=cell.scheme.name,
+                cell_scenario(
+                    cell.workload.name,
+                    cell.scheme.name,
                     voltage=cell.fault.voltage,
                     seed=cell.fault.seed,
                     accesses_per_cu=cell.workload.accesses_per_cu,
@@ -110,7 +111,7 @@ class TestEquivalence:
                 for cell in scenario.expand()
             ]
         )
-        for a, b in zip(via_scenario, via_legacy):
+        for a, b in zip(via_scenario, via_flat):
             assert a.cycles == b.cycles
             assert a.instructions == b.instructions
             assert a.l2 == b.l2
@@ -121,15 +122,18 @@ class TestEquivalence:
             assert a.fingerprint == b.fingerprint
 
     def test_run_cell_accepts_both_spec_types(self):
-        spec = CellSpec("nekbone", "killi_1:64", accesses_per_cu=300)
+        """A flat-built scenario and its TOML round trip run identically."""
+        spec = cell_scenario("nekbone", "killi_1:64", accesses_per_cu=300)
         a = run_cell(spec)
-        b = run_cell(spec.to_scenario())
+        b = run_cell(ScenarioConfig.from_toml(spec.to_toml()))
         assert (a.cycles, a.l2, a.dfh) == (b.cycles, b.l2, b.dfh)
 
     def test_result_cache_shared_between_paths(self, tmp_path):
-        spec = CellSpec("nekbone", "baseline", accesses_per_cu=300)
+        spec = cell_scenario("nekbone", "baseline", accesses_per_cu=300)
         first = run_cells([spec], cache_dir=str(tmp_path))
-        second = run_cells([spec.to_scenario()], cache_dir=str(tmp_path))
+        second = run_cells(
+            [ScenarioConfig.from_json(spec.to_json())], cache_dir=str(tmp_path)
+        )
         assert not first[0].from_cache
         assert second[0].from_cache
         assert second[0].cycles == first[0].cycles

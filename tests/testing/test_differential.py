@@ -35,7 +35,7 @@ class TestRunScenario:
         assert a.per_cu_cycles == b.per_cu_cycles
 
     def test_snapshot_carries_observables(self):
-        obs = run_scenario(small_scenario(), "vectorized", "soa")
+        obs = run_scenario(small_scenario(), "batched", "soa")
         snap = obs.snapshot
         assert snap["cycles"] == obs.cycles
         assert snap["l2"]["stats"]["reads"] > 0
@@ -55,7 +55,11 @@ class TestRunScenario:
 
 class TestDiffScenario:
     def test_combos_cover_product(self):
-        assert len(COMBOS) == 6
+        assert set(COMBOS) == {
+            (engine, substrate)
+            for engine in ("scalar", "batched")
+            for substrate in ("object", "soa")
+        }
         assert REFERENCE in COMBOS
 
     @pytest.mark.parametrize("scheme", ["baseline", "killi_1:8", "msecc"])

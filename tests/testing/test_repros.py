@@ -1,7 +1,7 @@
 """Replay every committed reproducer under armed invariants.
 
 Each ``repros/repro_*.toml`` is a shrunk scenario that once diverged;
-the fix landed with it, so replaying it through all six engine ×
+the fix landed with it, so replaying it through all four engine ×
 substrate combinations must now agree — with
 ``REPRO_CHECK_INVARIANTS=1`` armed so the internal debug assertions
 run too.  This file needs no editing when a reproducer lands: cases
