@@ -7,6 +7,9 @@ objects that parameterize it, the formal transaction entry point, the
 compatibility shims left at the old module paths.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -144,21 +147,34 @@ class TestExecute:
 
 
 class TestSubstrateParity:
-    """The object substrate is the pinned reference: both substrates
-    must produce identical latencies, stats and memory traffic for the
-    same stream, under both write policies."""
+    """Latencies and final state pinned to the deleted object substrate.
+
+    Each digest is the SHA-256 of ``[latencies, cache.state_snapshot()]``
+    in canonical JSON, recorded at commit 81a102b by driving the stream
+    through the preset over the object tag store (the SoA store gave
+    the same digests there).
+    """
+
+    PINNED = {
+        ("WriteThroughCache", 1): "b05fc5b4e64d84c84498ec9920300c2f7eea785527a47d6fd55a541179b25a9e",
+        ("WriteThroughCache", 2): "ab62adf5a7b9a0fc7fe37cf07d946a8d055ca921559b90ec3eeb0a0ba77b76f0",
+        ("WriteThroughCache", 3): "86a3ad0c1c7694a9bfde5cf2930a63c475cc18d69c6d8bdf01b97c92f6a09597",
+        ("WriteBackCache", 1): "a651ee4dca7f663c9dd2602f40e781011e3751b0021d5cf0e51bba64078f8286",
+        ("WriteBackCache", 2): "ec62f66560ac39628240ebe6cea9258286a276ad01c91f8cb73f4cee0b98a814",
+        ("WriteBackCache", 3): "aa82d51c97ef330356c6decafc2ba0d0c889ccea20b14062d20260dbb981e2d3",
+    }
 
     @pytest.mark.parametrize("preset", [WriteThroughCache, WriteBackCache])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bit_identical_streams(self, preset, seed):
         stream = random_stream(seed, footprint=32 * 1024)
-        caches = [
-            preset(small_geometry(), UnprotectedScheme(), substrate=s)
-            for s in SUBSTRATES
-        ]
-        latencies = [drive(cache, stream) for cache in caches]
-        assert latencies[0] == latencies[1]
-        assert state_key(caches[0]) == state_key(caches[1])
+        cache = preset(small_geometry(), UnprotectedScheme())
+        latencies = drive(cache, stream)
+        blob = json.dumps(
+            [latencies, cache.state_snapshot()], sort_keys=True, default=str
+        )
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert digest == self.PINNED[(preset.__name__, seed)]
 
 
 class TestDirtyEvictionAccounting:
