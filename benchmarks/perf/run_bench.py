@@ -9,19 +9,15 @@ reference implementation that stays in the tree:
 - ``linestate`` — per-access line-signal latency (packed
   ``LineSignalKernel.signals_row`` and the memoized
   ``LineErrorModel.signals`` vs scalar ``signals_for_positions``);
-- ``hierarchy`` — per-access latency of the protected L2 on each tag
-  substrate (object reference vs struct-of-arrays fast path);
-- ``cache_core`` — the unified transaction layer
-  (:meth:`CacheModel.execute`) on both write policies and both tag
-  substrates, cross-checked identical;
+- ``cache_core`` — per-access latency of the unified transaction layer
+  (:meth:`CacheModel.execute`) on both write policies;
 - ``l2_replay`` — the set-partitioned batched replay kernel
   (:func:`repro.cache.soa.replay_clean_set` +
   :meth:`CacheModel.commit_set_replays`) vs the per-access
   ``read``/``write`` loop on the same stream, checked bit-identical;
 - ``fig6``      — Figure 6 coverage sweep end-to-end wall clock;
 - ``fig4``      — a Figure 4 scheme-panel slice end-to-end on both
-  engines (scalar, batched) and both substrates, checked
-  bit-identical per cell.
+  engines (scalar, batched), checked bit-identical per cell.
 
 Usage::
 
@@ -82,7 +78,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 _QUICK = {
     "sampler_samples": 5_000,
     "linestate_accesses": 2_000,
-    "hierarchy_accesses": 20_000,
     "cache_core_accesses": 20_000,
     "l2_replay_accesses": 20_000,
     "killi_classify_ops": 20_000,
@@ -98,7 +93,6 @@ _QUICK = {
 _FULL = {
     "sampler_samples": 100_000,
     "linestate_accesses": 20_000,
-    "hierarchy_accesses": 200_000,
     "cache_core_accesses": 200_000,
     "l2_replay_accesses": 200_000,
     "killi_classify_ops": 200_000,
@@ -205,60 +199,16 @@ def bench_linestate(accesses: int) -> dict:
     }
 
 
-def bench_hierarchy(accesses: int) -> dict:
-    """Per-access latency of the protected L2 on each tag substrate.
-
-    Replays one deterministic read/write stream (80% loads, working
-    set ~4x the cache) through two caches that differ only in their
-    ``substrate``, and cross-checks that both ended with the same
-    counters — the bench doubles as an equivalence smoke test.
-    """
-    config = GpuConfig()
-    rng = np.random.default_rng(23)
-    n_lines = config.l2.n_sets * config.l2.associativity
-    addrs = (
-        rng.integers(0, 4 * n_lines, size=accesses) * config.l2.line_bytes
-    ).tolist()
-    stores = (rng.random(accesses) < 0.2).tolist()
-
-    def run(substrate: str):
-        cache = WriteThroughCache(
-            config.l2, latencies=config.l2_latencies, substrate=substrate
-        )
-        cycles = 0
-        start = time.perf_counter()
-        for addr, store in zip(addrs, stores):
-            cycles += cache.write(addr) if store else cache.read(addr)
-        return time.perf_counter() - start, cache, cycles
-
-    object_s, object_cache, object_cycles = run("object")
-    soa_s, soa_cache, soa_cycles = run("soa")
-    assert (soa_cycles, soa_cache.stats) == (object_cycles, object_cache.stats), (
-        "substrates diverged on the hierarchy stream"
-    )
-    return {
-        "accesses": accesses,
-        "object_ns_per_access": round(object_s / accesses * 1e9, 1),
-        "soa_ns_per_access": round(soa_s / accesses * 1e9, 1),
-        "speedup_soa": round(object_s / soa_s, 2),
-        "substrates_bit_identical": True,
-    }
-
-
 def bench_cache_core(accesses: int) -> dict:
-    """The unified transaction layer, across policies and substrates.
+    """Per-access latency of the unified transaction layer.
 
     Replays one deterministic mixed stream (20% stores, working set
     ~4x the cache) through ``CacheModel.execute`` on the two shipped
-    L2 policy presets (write-through / no-write-allocate and
-    write-back / write-allocate) on both tag substrates, asserting
-    that each preset's two substrates finish with identical cycles,
-    counters and memory traffic.  Times the object reference against
-    the SoA fast path (best of three, each rep on a cold cache —
-    single-shot timing at quick-mode sizes is allocator-warmup noise)
-    for the write-through preset (the paper's L2), so the transaction
-    layer itself is held to the same --fail-if-slower gate as every
-    other fast path.
+    L2 policy presets: write-through / no-write-allocate (the paper's
+    L2) and write-back / write-allocate.  Reports absolute ns/access,
+    best of three, each rep on a cold cache (single-shot timing at
+    quick-mode sizes is allocator-warmup noise).  The write-through
+    figure is compared against the committed baseline.
     """
     config = GpuConfig()
     geometry = config.l2
@@ -273,48 +223,22 @@ def bench_cache_core(accesses: int) -> dict:
         for addr, store in zip(addrs, stores)
     ]
 
-    def run(preset, substrate: str, reps: int = 3):
+    def best_ns_per_access(preset, reps: int = 3) -> float:
         best = None
         for _ in range(reps):
-            cache = preset(
-                geometry, latencies=config.l2_latencies, substrate=substrate
-            )
-            cycles = 0
-            start = time.perf_counter()
+            cache = preset(geometry, latencies=config.l2_latencies)
             execute = cache.execute
+            start = time.perf_counter()
             for txn in txns:
-                cycles += execute(txn)
+                execute(txn)
             seconds = time.perf_counter() - start
             best = seconds if best is None else min(best, seconds)
-        return best, cache, cycles
+        return round(best / accesses * 1e9, 1)
 
-    timings = {}
-    for preset in (WriteThroughCache, WriteBackCache):
-        object_s, object_cache, object_cycles = run(preset, "object")
-        soa_s, soa_cache, soa_cycles = run(preset, "soa")
-        assert (
-            soa_cycles,
-            soa_cache.stats,
-            soa_cache.memory_reads,
-            soa_cache.memory_writes,
-        ) == (
-            object_cycles,
-            object_cache.stats,
-            object_cache.memory_reads,
-            object_cache.memory_writes,
-        ), f"substrates diverged on the {preset.__name__} stream"
-        timings[preset] = (object_s, soa_s)
-
-    wt_object_s, wt_soa_s = timings[WriteThroughCache]
-    wb_object_s, wb_soa_s = timings[WriteBackCache]
     return {
         "accesses": accesses,
-        "object_ns_per_access": round(wt_object_s / accesses * 1e9, 1),
-        "soa_ns_per_access": round(wt_soa_s / accesses * 1e9, 1),
-        "writeback_soa_ns_per_access": round(wb_soa_s / accesses * 1e9, 1),
-        "speedup_soa": round(wt_object_s / wt_soa_s, 2),
-        "speedup_soa_writeback": round(wb_object_s / wb_soa_s, 2),
-        "substrates_bit_identical": True,
+        "soa_ns_per_access": best_ns_per_access(WriteThroughCache),
+        "writeback_soa_ns_per_access": best_ns_per_access(WriteBackCache),
     }
 
 
@@ -322,7 +246,7 @@ def bench_l2_replay(accesses: int) -> dict:
     """The batched set-replay kernel vs the per-access L2 loop.
 
     Same deterministic stream (20% stores, working set ~2x the cache)
-    through two identical unprotected SoA caches: one access at a time
+    through two identical unprotected caches: one access at a time
     via ``read``/``write``, and set-partitioned through
     ``set_replay_profile`` -> ``replay_clean_set`` ->
     ``commit_set_replays`` — the exact sequence the batched engine
@@ -351,9 +275,7 @@ def bench_l2_replay(accesses: int) -> dict:
     lines_list = lines.tolist()
 
     def make_cache():
-        return WriteThroughCache(
-            geometry, latencies=config.l2_latencies, substrate="soa"
-        )
+        return WriteThroughCache(geometry, latencies=config.l2_latencies)
 
     cache = make_cache()
     start = time.perf_counter()
@@ -488,11 +410,11 @@ def bench_fig6() -> dict:
     }
 
 
-def _fig4_cell(workload, scheme, accesses, engine, substrate):
+def _fig4_cell(workload, scheme, accesses, engine):
     """One timed fig4 cell; returns (result dict sans timing, seconds)."""
     spec = cell_scenario(
         workload, scheme, voltage=LV_VOLTAGE, seed=42,
-        accesses_per_cu=accesses, engine=engine, substrate=substrate,
+        accesses_per_cu=accesses, engine=engine,
     )
     start = time.perf_counter()
     result = run_cell(spec)
@@ -507,9 +429,8 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
     """End-to-end Figure 4 scheme panel on both engines.
 
     Every cell of the (xsbench, fft) x (baseline, dected, flair,
-    msecc, killi_1:8) panel runs on scalar and batched — timed on the
-    SoA substrate (best of ``reps``) and cross-checked bit-identical
-    on *both* substrates.  ``seconds`` is the batched engine's panel
+    msecc, killi_1:8) panel runs on scalar and batched — timed (best
+    of ``reps``) and cross-checked bit-identical.  ``seconds`` is the batched engine's panel
     total (the headline number tracked across BENCH files).
     ``speedup_vs_scalar`` — the acceptance headline — is the
     batched-vs-scalar speedup as the **geometric mean of per-cell
@@ -540,24 +461,19 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
             results = {}
             times = {}
             for engine in ENGINES:
-                payload, seconds = _fig4_cell(
-                    workload, scheme, accesses, engine, "soa"
-                )
+                payload, seconds = _fig4_cell(workload, scheme, accesses, engine)
                 for _ in range(reps - 1):
                     seconds = min(
                         seconds,
-                        _fig4_cell(workload, scheme, accesses, engine, "soa")[1],
+                        _fig4_cell(workload, scheme, accesses, engine)[1],
                     )
-                results[(engine, "soa")] = payload
+                results[engine] = payload
                 times[engine] = seconds
                 totals[engine] += seconds
-                results[(engine, "object")] = _fig4_cell(
-                    workload, scheme, accesses, engine, "object"
-                )[0]
-            reference = results[("scalar", "soa")]
-            for key, payload in results.items():
+            reference = results["scalar"]
+            for engine, payload in results.items():
                 assert payload == reference, (
-                    f"engines diverged on {workload}/{scheme}: {key}"
+                    f"engines diverged on {workload}/{scheme}: {engine}"
                 )
             ratio = times["scalar"] / times["batched"]
             ratios.append(ratio)
@@ -578,8 +494,8 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
         if key.startswith("engine.batched.")
     }
     # Fingerprint of the exact cell set simulated above; ties this
-    # BENCH entry to a reproducible unit of work, independent of
-    # engine/substrate.
+    # BENCH entry to a reproducible unit of work, independent of the
+    # engine.
     cells = [
         cell_scenario(
             workload,
@@ -604,7 +520,6 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
         "batched_telemetry": batched_telemetry,
         "engines_bit_identical": True,
         "engines": list(ENGINES),
-        "substrates": ["soa", "object"],
         "workloads": len(workloads),
         "schemes": len(schemes),
         "accesses_per_cu": accesses,
@@ -620,7 +535,7 @@ def bench_fuzz_overhead(accesses: int) -> dict:
     shadowing the bound ``read``/``write`` methods per instance (see
     docs/testing.md); with the flag off the hot path must carry zero
     extra cost.  Three interleaved measurements of one deterministic
-    mixed stream on the SoA substrate:
+    mixed stream:
 
     - *control* — the pristine class-level methods fetched past the
       instance dict: what a build without the invariant machinery
@@ -650,9 +565,7 @@ def bench_fuzz_overhead(accesses: int) -> dict:
         if armed:
             os.environ[INVARIANTS_ENV] = "1"
         try:
-            return WriteThroughCache(
-                geometry, latencies=config.l2_latencies, substrate="soa"
-            )
+            return WriteThroughCache(geometry, latencies=config.l2_latencies)
         finally:
             os.environ.pop(INVARIANTS_ENV, None)
             if saved is not None:
@@ -756,7 +669,6 @@ _BASELINE_HEADLINE_KEYS = {
     # regression.
     "sampler": ("vectorized_seconds",),
     "linestate": ("memoized_us_per_access",),
-    "hierarchy": ("soa_ns_per_access",),
     "cache_core": ("soa_ns_per_access",),
     "l2_replay": ("batched_ns_per_access",),
     "killi_classify": ("cached_ns_per_op", "batch_ns_per_op"),
@@ -874,23 +786,13 @@ def main(argv=None) -> int:
         f"{linestate['speedup_memoized']:.1f}x)"
     )
 
-    results["benchmarks"]["hierarchy"] = hierarchy = bench_hierarchy(
-        sizes["hierarchy_accesses"]
-    )
-    print(
-        f"  hierarchy: {hierarchy['soa_ns_per_access']:6.1f} ns/access soa "
-        f"vs {hierarchy['object_ns_per_access']:6.1f} object  "
-        f"({hierarchy['speedup_soa']:.1f}x)"
-    )
-
     results["benchmarks"]["cache_core"] = cache_core = bench_cache_core(
         sizes["cache_core_accesses"]
     )
     print(
-        f"  cache_core:{cache_core['soa_ns_per_access']:6.1f} ns/access soa "
-        f"vs {cache_core['object_ns_per_access']:6.1f} object  "
-        f"({cache_core['speedup_soa']:.1f}x, write-back "
-        f"{cache_core['speedup_soa_writeback']:.1f}x)"
+        f"  cache_core:{cache_core['soa_ns_per_access']:6.1f} ns/access "
+        f"write-through, {cache_core['writeback_soa_ns_per_access']:6.1f} "
+        f"write-back"
     )
 
     results["benchmarks"]["l2_replay"] = l2_replay = bench_l2_replay(
@@ -951,10 +853,6 @@ def main(argv=None) -> int:
             slower.append(f"sampler ({sampler['speedup']}x)")
         if linestate["speedup_packed"] < 1.0:
             slower.append(f"linestate ({linestate['speedup_packed']}x)")
-        if hierarchy["speedup_soa"] < 1.0:
-            slower.append(f"hierarchy ({hierarchy['speedup_soa']}x)")
-        if cache_core["speedup_soa"] < 1.0:
-            slower.append(f"cache_core ({cache_core['speedup_soa']}x)")
         if l2_replay["speedup_batched"] < 1.0:
             slower.append(f"l2_replay ({l2_replay['speedup_batched']}x)")
         if killi_cls["speedup_cached"] < 1.0:

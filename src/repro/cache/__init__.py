@@ -1,7 +1,7 @@
 """Set-associative cache substrate.
 
 Provides the machinery every protection scheme plugs into, layered as
-transaction core -> hooks -> substrates (see ``docs/architecture.md``):
+transaction core -> hooks -> tag substrate (see ``docs/architecture.md``):
 
 - :mod:`repro.cache.geometry` — address mapping for a banked
   set-associative cache (the paper's 2MB / 16-way / 64B-line / 16-bank
@@ -14,14 +14,8 @@ transaction core -> hooks -> substrates (see ``docs/architecture.md``):
   implementation of the access semantics.
 - :mod:`repro.cache.hooks` — the scheme-facing surface (outcomes,
   hook base class, replay guards, the batched-engine gate).
-- :mod:`repro.cache.replacement` — the shared
-  :class:`ReplacementPolicy` interface with both substrates' LRU
-  states.
-- :mod:`repro.cache.object_store` — the object tag store (pinned
-  reference substrate).
-- :mod:`repro.cache.soa` — the struct-of-arrays tag substrate and the
-  batched set-replay kernels (flat numpy arrays, bit-identical fast
-  path).
+- :mod:`repro.cache.soa` — the tag substrate: tag store and LRU
+  state on flat arrays, plus the batched set-replay kernels.
 """
 
 from repro.cache.core import (
@@ -48,28 +42,14 @@ from repro.cache.hooks import (
     hooks_unchanged,
     make_replay_guard,
 )
-from repro.cache.object_store import CacheLineState, SetAssocCache
-from repro.cache.replacement import LruState, ReplacementPolicy, SoaLruState
-from repro.cache.soa import (
-    SUBSTRATES,
-    SoaTagStore,
-    default_substrate,
-    resolve_substrate,
-)
+from repro.cache.soa import SoaLruState, SoaTagStore
 from repro.cache.stats import CacheStats
 
 __all__ = [
     "CacheGeometry",
     "CacheStats",
-    "ReplacementPolicy",
-    "LruState",
-    "CacheLineState",
-    "SetAssocCache",
-    "SUBSTRATES",
     "SoaTagStore",
     "SoaLruState",
-    "default_substrate",
-    "resolve_substrate",
     "AccessOutcome",
     "ProtectionScheme",
     "UnprotectedScheme",

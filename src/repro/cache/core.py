@@ -14,11 +14,9 @@ additionally pays the memory latency.  Error-induced misses (Table 2's
 "signal error-induced cache miss; trigger new load request") pay the
 hit latency for the failed attempt plus a full miss.
 
-The tag store and LRU state run on one of two substrates with the same
-contract: ``"object"`` (per-line ``CacheLineState`` + recency lists,
-the pinned reference — :mod:`repro.cache.object_store`) or ``"soa"``
-(flat numpy arrays + integer-age LRU, the fast path).  Read hits
-additionally go through an epoch cache: once the scheme declares a
+The tag store and LRU state live on flat arrays
+(:mod:`repro.cache.soa`).  Read hits additionally go through an epoch
+cache: once the scheme declares a
 line's hit behaviour stable
 (:meth:`~repro.cache.hooks.ProtectionScheme.hit_replay_info`), the
 outcome is memoized per (set, way) and replayed without scheme
@@ -44,13 +42,7 @@ from dataclasses import dataclass
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import AccessOutcome, ProtectionScheme
-from repro.cache.soa import (
-    SoaLruState,
-    SoaTagStore,
-    bulk_apply_set_replays,
-    resolve_substrate,
-    substrate_spec,
-)
+from repro.cache.soa import SoaLruState, SoaTagStore, bulk_apply_set_replays
 from repro.cache.stats import CacheStats
 from repro.testing.invariants import check_set_invariants, invariants_enabled
 
@@ -166,7 +158,6 @@ _ACCESS_PROTOCOL = (
     "_memoize",
     "set_replay_info",
     "set_replay_profile",
-    "apply_set_replay",
     "apply_set_replays",
     "commit_set_replays",
 )
@@ -197,9 +188,6 @@ class CacheModel:
         Protection scheme consulted on every access.
     latencies:
         Cycle costs per access type.
-    substrate:
-        ``"object"`` or ``"soa"`` tag/LRU backing (None = session
-        default, see :func:`repro.cache.soa.default_substrate`).
     write_policy / allocation_policy:
         The strategy objects; defaults reproduce the paper's L2
         (write-through / no-write-allocate).
@@ -210,7 +198,6 @@ class CacheModel:
         geometry: CacheGeometry,
         scheme: ProtectionScheme | None = None,
         latencies: CacheLatencies | None = None,
-        substrate: str | None = None,
         *,
         write_policy: WritePolicy | None = None,
         allocation_policy: AllocationPolicy | None = None,
@@ -222,10 +209,8 @@ class CacheModel:
         self.allocation_policy = (
             allocation_policy if allocation_policy is not None else NO_WRITE_ALLOCATE
         )
-        self.substrate = resolve_substrate(substrate)
-        spec = substrate_spec(self.substrate)
-        self.tags = spec.tag_store(geometry)
-        self.lru = spec.lru(geometry)
+        self.tags = SoaTagStore(geometry)
+        self.lru = SoaLruState(geometry.n_sets, geometry.associativity)
         self.stats = CacheStats()
         self.memory_reads = 0
         self.memory_writes = 0
@@ -536,33 +521,6 @@ class CacheModel:
             return None
         return self.scheme.set_replay_profile(set_index)
 
-    def apply_set_replay(self, set_index: int, way_lines, resident, touch_order):
-        """Write one replayed set's final state back into the substrate.
-
-        ``way_lines`` is the pre-replay state from
-        :func:`~repro.cache.soa.export_set_state`, ``resident`` /
-        ``touch_order`` the kernel's results.  Ways whose line changed
-        go through ``tags.insert`` (which maintains the lookup index
-        and validity counters on either substrate); touched ways replay
-        through ``lru.touch`` in final-recency order, reproducing the
-        exact age ordering the per-access path would leave.  Every
-        memoized hit stamp of the set is conservatively cleared —
-        over-invalidation only costs a re-memoization, never a
-        behaviour change.
-        """
-        tags = self.tags
-        line_bytes = self._line_bytes
-        for line, way in resident.items():
-            if way_lines[way] != line:
-                tags.insert(line * line_bytes, way)
-        lru = self.lru
-        for way in touch_order:
-            lru.touch(set_index, way)
-        base = set_index * self._assoc
-        stamp = self._hit_stamp
-        for way in range(self._assoc):
-            stamp[base + way] = -1
-
     def apply_set_replays(self, pending) -> None:
         """Write many replayed sets back at once (deferred application).
 
@@ -571,21 +529,19 @@ class CacheModel:
         set's remaining accesses were all consumed by its replay and no
         other set reads its tag/LRU state: an inert set holds no
         ECC-cache entries, so cross-set ECC evictions can never reach
-        into it mid-kernel.  On the SoA substrate the numpy columns are
-        written in one fancy-indexed pass; the object substrate applies
-        per set.
+        into it mid-kernel.  The numpy columns are written in one
+        fancy-indexed pass (:func:`~repro.cache.soa.bulk_apply_set_replays`).
+        Every memoized hit stamp of a replayed set is conservatively
+        cleared — over-invalidation only costs a re-memoization, never
+        a behaviour change.
         """
-        if isinstance(self.tags, SoaTagStore) and isinstance(self.lru, SoaLruState):
-            bulk_apply_set_replays(self.tags, self.lru, pending)
-            assoc = self._assoc
-            stamp = self._hit_stamp
-            blank = [-1] * assoc
-            for set_index, _, _, _ in pending:
-                base = set_index * assoc
-                stamp[base : base + assoc] = blank
-        else:
-            for set_index, way_lines, resident, touch_order in pending:
-                self.apply_set_replay(set_index, way_lines, resident, touch_order)
+        bulk_apply_set_replays(self.tags, self.lru, pending)
+        assoc = self._assoc
+        stamp = self._hit_stamp
+        blank = [-1] * assoc
+        for set_index, _, _, _ in pending:
+            base = set_index * assoc
+            stamp[base : base + assoc] = blank
 
     def commit_set_replays(
         self, pending, agg, n_misses: int, bulk_hits, n_corrected: int = 0
@@ -633,13 +589,12 @@ class CacheModel:
     # -- canonical observable state ----------------------------------------
 
     def state_snapshot(self) -> dict:
-        """Canonical, substrate-independent observable state.
+        """Canonical observable state.
 
         Captures everything the access semantics can depend on or
         produce: the stats counters, memory traffic, and — per set —
         the resident line / disabled / dirty flags of every way plus
-        the LRU recency order (MRU first; both substrates induce
-        identical orders by contract).  Under ``prefer_invalid`` fill
+        the LRU recency order (MRU first).  Under ``prefer_invalid`` fill
         (the L2 policy) the order is restricted to *valid* ways: an
         invalid way's recency is never read there — invalid victims
         are chosen by way index / fill priority, and ``lru_way`` is
@@ -836,14 +791,12 @@ class WriteThroughCache(CacheModel):
         geometry: CacheGeometry,
         scheme: ProtectionScheme | None = None,
         latencies: CacheLatencies | None = None,
-        substrate: str | None = None,
     ):
         CacheModel.__init__(
             self,
             geometry,
             scheme,
             latencies,
-            substrate,
             write_policy=WRITE_THROUGH,
             allocation_policy=NO_WRITE_ALLOCATE,
         )
@@ -869,14 +822,12 @@ class WriteBackCache(WriteThroughCache):
         geometry: CacheGeometry,
         scheme: ProtectionScheme | None = None,
         latencies: CacheLatencies | None = None,
-        substrate: str | None = None,
     ):
         CacheModel.__init__(
             self,
             geometry,
             scheme,
             latencies,
-            substrate,
             write_policy=WRITE_BACK,
             allocation_policy=WRITE_ALLOCATE,
         )

@@ -1,46 +1,30 @@
-"""Struct-of-arrays cache substrate.
+"""The cache tag substrate: tag and LRU state on flat arrays.
 
-The object substrate (:mod:`repro.cache.object_store` +
-:class:`~repro.cache.replacement.LruState`) keeps one
-``CacheLineState`` dataclass per physical line behind per-set tag
-dicts and per-set recency lists.  That is the pinned reference
-implementation; this module is the fast path: the same tag-store
-contract on flat numpy arrays —
+Every :class:`~repro.cache.core.CacheModel` — the L2 presets and
+:class:`~repro.gpu.hierarchy.SimpleL1` alike — keeps its tag-array and
+recency state here:
 
 - :class:`SoaTagStore` — valid/tag/disabled/dirty as ``(n_sets,
   associativity)`` arrays plus a single line-number -> way dict for
   O(1) lookups (one integer divide per access instead of a set/tag
   split against a per-set dict);
-- :class:`~repro.cache.replacement.SoaLruState` (re-exported here) —
-  integer-age LRU, order-equivalent to the list-based
-  :class:`~repro.cache.replacement.LruState` under the shared
-  :class:`~repro.cache.replacement.ReplacementPolicy` interface.
+- :class:`SoaLruState` — integer-age LRU.
 
-Both substrates are interchangeable behind any
-:class:`~repro.cache.core.CacheModel` — the L2 presets and
-:class:`~repro.gpu.hierarchy.SimpleL1` alike (``substrate="object"``
-/ ``"soa"``); the test suite pins them bit-identical across schemes,
-workloads and reset/disable semantics.  The default substrate is
-``soa`` and can be overridden with the ``REPRO_SUBSTRATE`` environment
-variable (the CI runs the tier-1 suite under both).
+The module also holds the batched set-replay kernels the batched
+engine runs on scheme-inert sets.  The *victim choice* lives in
+:meth:`repro.cache.core.CacheModel._choose_victim`, because Killi's
+modified policy (paper Section 4.4) needs scheme knowledge: it
+prioritises invalid lines by DFH state (b'01 > b'00 > b'10) and never
+selects disabled ways.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import SoaLruState
-from repro.scenario.registries import SUBSTRATE_REGISTRY, SubstrateSpec
 
 __all__ = [
-    "SUBSTRATES",
-    "default_substrate",
-    "resolve_substrate",
-    "substrate_spec",
-    "SoaLineView",
     "SoaTagStore",
     "SoaLruState",
     "export_set_state",
@@ -48,101 +32,14 @@ __all__ = [
     "bulk_apply_set_replays",
 ]
 
-#: The built-in substrate names (registry may hold more).
-SUBSTRATES = ("object", "soa")
-
-
-def default_substrate() -> str:
-    """The session default: ``REPRO_SUBSTRATE`` env var or ``"soa"``."""
-    value = os.environ.get("REPRO_SUBSTRATE", "soa")
-    if value not in SUBSTRATE_REGISTRY:
-        raise ValueError(
-            f"REPRO_SUBSTRATE={value!r} is not one of "
-            f"{tuple(SUBSTRATE_REGISTRY.names())}"
-        )
-    return value
-
-
-def resolve_substrate(substrate: str | None) -> str:
-    """Validate an explicit substrate choice, or fall back to the default."""
-    if substrate is None:
-        return default_substrate()
-    if substrate not in SUBSTRATE_REGISTRY:
-        raise ValueError(
-            f"unknown substrate {substrate!r}; expected one of "
-            f"{tuple(SUBSTRATE_REGISTRY.names())}"
-        )
-    return substrate
-
-
-def substrate_spec(substrate: str | None) -> SubstrateSpec:
-    """The :class:`SubstrateSpec` backing a (possibly default) name."""
-    return SUBSTRATE_REGISTRY.resolve(resolve_substrate(substrate))
-
-
-class SoaLineView:
-    """Dataclass-compatible view of one (set, way) in a :class:`SoaTagStore`.
-
-    Quacks like :class:`~repro.cache.object_store.CacheLineState` for
-    readers (``valid``/``tag``/``disabled``/``dirty``); the mutable
-    flags (``dirty``, ``disabled``) write through to the arrays and
-    keep the store's maintained counters in sync.  ``valid``/``tag``
-    are read-only — all code paths mutate those via the store API.
-    """
-
-    __slots__ = ("_store", "_set", "_way")
-
-    def __init__(self, store: "SoaTagStore", set_index: int, way: int):
-        self._store = store
-        self._set = set_index
-        self._way = way
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._store.valid[self._set, self._way])
-
-    @property
-    def tag(self) -> int:
-        return int(self._store.tag[self._set, self._way])
-
-    @property
-    def disabled(self) -> bool:
-        return bool(self._store.disabled[self._set, self._way])
-
-    @disabled.setter
-    def disabled(self, value: bool) -> None:
-        store = self._store
-        was = bool(store.disabled[self._set, self._way])
-        if was != bool(value):
-            store.disabled[self._set, self._way] = bool(value)
-            delta = 1 if value else -1
-            store._n_disabled += delta
-            store.disabled_in_set[self._set] += delta
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self._store.dirty[self._set, self._way])
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._store.dirty[self._set, self._way] = bool(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SoaLineView(set={self._set}, way={self._way}, "
-            f"valid={self.valid}, tag={self.tag}, "
-            f"disabled={self.disabled}, dirty={self.dirty})"
-        )
-
 
 class SoaTagStore:
     """Tag store for a set-associative cache on flat numpy arrays.
 
-    API-compatible with :class:`~repro.cache.object_store.SetAssocCache`
-    (lookup / insert / invalidate / disable / enable / enable_all /
-    line / ways_of_set / counters) plus the scalar accessors the
-    protected-cache hot path uses (``is_valid`` / ``is_dirty`` /
-    ``is_disabled`` / ``tag_at`` / ``set_dirty``).
+    Fill and state changes go through lookup / insert / invalidate /
+    disable / enable / enable_all; the protected-cache hot path reads
+    lines through the scalar accessors (``is_valid`` / ``is_dirty`` /
+    ``is_disabled`` / ``tag_at``) and marks them with ``set_dirty``.
 
     The lookup index maps *line numbers* (``addr // line_bytes``) to
     ways: globally unique because each line number belongs to exactly
@@ -235,7 +132,7 @@ class SoaTagStore:
         self._n_disabled = 0
         self.disabled_in_set = [0] * self._n_sets
 
-    # -- scalar accessors (hot-path, no view allocation) -------------------
+    # -- scalar accessors ----------------------------------------------------
 
     def is_valid(self, set_index: int, way: int) -> bool:
         return self._line_at[set_index * self._assoc + way] >= 0
@@ -278,19 +175,6 @@ class SoaTagStore:
             if line_at[base + way] < 0:
                 return way
         return None
-
-    # -- structural views --------------------------------------------------
-
-    def line(self, set_index: int, way: int) -> SoaLineView:
-        """The tag-array state of (set, way)."""
-        return SoaLineView(self, set_index, way)
-
-    def ways_of_set(self, set_index: int):
-        """All line states of a set (list indexed by way)."""
-        return [
-            SoaLineView(self, set_index, way)
-            for way in range(self.geometry.associativity)
-        ]
 
     # -- counters (maintained incrementally; scans assert in debug) --------
 
@@ -382,6 +266,65 @@ class SoaTagStore:
                     )
 
 
+class SoaLruState:
+    """LRU recency order for every set of a cache, as integer ages.
+
+    ``age[set, way]`` holds the last-touch stamp; per-set clocks only
+    grow and per-set floors only shrink, so ages within a set are
+    always pairwise distinct and "most recently used" is simply the
+    descending-age order.  ``touch`` == move-to-front, ``demote`` ==
+    move-to-back, and the initial ages ``0, -1, ..., -(w-1)`` give the
+    initial MRU-first order ``[0, 1, ..., w-1]``.
+    """
+
+    def __init__(self, n_sets: int, associativity: int):
+        if n_sets < 1 or associativity < 1:
+            raise ValueError("n_sets and associativity must be positive")
+        self.n_sets = n_sets
+        self.associativity = associativity
+        # Flat per-slot ages (set * associativity + way), plain list:
+        # touch / victim scans are scalar probes over one set's worth
+        # of entries, where lists beat numpy views.
+        self.age = list(range(0, -associativity, -1)) * n_sets
+        self._clock = [1] * n_sets
+        self._floor = [-associativity] * n_sets
+
+    def touch(self, set_index: int, way: int) -> None:
+        """Move ``way`` to the MRU position of its set."""
+        self.age[set_index * self.associativity + way] = self._clock[set_index]
+        self._clock[set_index] += 1
+
+    def demote(self, set_index: int, way: int) -> None:
+        """Move ``way`` to the LRU position (used after invalidation)."""
+        self.age[set_index * self.associativity + way] = self._floor[set_index]
+        self._floor[set_index] -= 1
+
+    def recency_order(self, set_index: int):
+        """Ways of a set, most-recently-used first (read-only view)."""
+        base = set_index * self.associativity
+        row = self.age[base : base + self.associativity]
+        return tuple(sorted(range(self.associativity), key=lambda w: -row[w]))
+
+    def lru_way(self, set_index: int) -> int:
+        """The least-recently-used way of a set (O(associativity))."""
+        base = set_index * self.associativity
+        row = self.age[base : base + self.associativity]
+        return row.index(min(row))
+
+    def lru_choice(self, set_index: int, eligible) -> int | None:
+        """Least-recently-used way among ``eligible`` (a container of ways)."""
+        base = set_index * self.associativity
+        row = self.age
+        best = None
+        best_age = None
+        for way in eligible:
+            a = row[base + way]
+            if best_age is None or a < best_age:
+                best_age = a
+                best = way
+        return best
+
+
 # -- batched set replay kernels ------------------------------------------
 #
 # The batched engine partitions the L2-bound stream by set and replays
@@ -390,13 +333,12 @@ class SoaTagStore:
 # plain set-associative LRU: residency plus recency fully determine
 # every hit, miss, fill and eviction, so the replay needs only an
 # insertion-ordered dict (oldest entry first == LRU victim) and O(1)
-# work per access.  The kernels are substrate-agnostic: state crosses
-# through the canonical per-set form exported below and is written back
-# through the substrate's own insert/touch, mirroring the L1 filter's
-# export/import pattern.
+# work per access.  State crosses through the canonical per-set form
+# exported below and is written back in bulk, mirroring the L1
+# filter's export/import pattern.
 
 
-def export_set_state(tags, lru, set_index: int):
+def export_set_state(tags: SoaTagStore, lru: SoaLruState, set_index: int):
     """Canonical replay state of one set: ``(way_lines, seed, free_ways)``.
 
     ``way_lines[way]`` is the resident line number (-1 invalid),
@@ -408,40 +350,20 @@ def export_set_state(tags, lru, set_index: int):
     invalid (``disable`` invalidates first), so they can never appear
     in ``seed`` either.
     """
-    assoc = tags.geometry.associativity
-    if isinstance(tags, SoaTagStore):
-        base = set_index * assoc
-        way_lines = tags._line_at[base : base + assoc]
-    else:
-        n_sets = tags.geometry.n_sets
-        way_lines = [
-            tags.tag_at(set_index, way) * n_sets + set_index
-            if tags.is_valid(set_index, way)
-            else -1
-            for way in range(assoc)
-        ]
+    assoc = tags._assoc
+    base = set_index * assoc
+    way_lines = tags._line_at[base : base + assoc]
     if tags.disabled_in_set[set_index]:
-        if isinstance(tags, SoaTagStore):
-            disabled_row = tags.disabled[set_index]
-            free_ways = [
-                way
-                for way in range(assoc)
-                if way_lines[way] < 0 and not disabled_row[way]
-            ]
-        else:
-            free_ways = [
-                way
-                for way in range(assoc)
-                if way_lines[way] < 0 and not tags.is_disabled(set_index, way)
-            ]
+        disabled_row = tags.disabled[set_index]
+        free_ways = [
+            way
+            for way in range(assoc)
+            if way_lines[way] < 0 and not disabled_row[way]
+        ]
     else:
         free_ways = [way for way in range(assoc) if way_lines[way] < 0]
-    if isinstance(lru, SoaLruState):
-        base = set_index * assoc
-        ages = lru.age[base : base + assoc]
-        order = sorted(range(assoc), key=ages.__getitem__)
-    else:
-        order = list(lru.recency_order(set_index))[::-1]
+    ages = lru.age[base : base + assoc]
+    order = sorted(range(assoc), key=ages.__getitem__)
     seed = [(way_lines[way], way) for way in order if way_lines[way] >= 0]
     return way_lines, seed, free_ways
 
@@ -494,7 +416,7 @@ def replay_clean_set(
     miss_positions, corrected_positions)`` on success: the final
     line -> way map (insertion-ordered LRU -> MRU), the touched ways
     in final-recency order (replay through ``lru.touch`` to reproduce
-    the substrate's ages; untouched ways keep theirs), the stat
+    the ages; untouched ways keep theirs), the stat
     counts, the global positions of the read misses, and the global
     positions of CORRECTED read hits.  On a guard abort it instead
     returns the *offset into* ``indices`` of the aborting access
@@ -615,7 +537,7 @@ def replay_clean_set(
 
 
 def bulk_apply_set_replays(tags: SoaTagStore, lru: SoaLruState, pending) -> None:
-    """Write many replayed sets' final state back in one pass (SoA only).
+    """Write many replayed sets' final state back in one pass.
 
     ``pending`` holds ``(set_index, way_lines, resident, touch_order)``
     tuples as produced by :func:`export_set_state` /
@@ -671,35 +593,3 @@ def bulk_apply_set_replays(tags: SoaTagStore, lru: SoaLruState, pending) -> None
         )
         tags.dirty.ravel()[slots_np] = False
 
-
-def _object_tag_store(geometry: CacheGeometry):
-    from repro.cache.object_store import SetAssocCache
-
-    return SetAssocCache(geometry)
-
-
-def _object_lru(geometry: CacheGeometry):
-    from repro.cache.replacement import LruState
-
-    return LruState(geometry.n_sets, geometry.associativity)
-
-
-SUBSTRATE_REGISTRY.register(
-    "object",
-    SubstrateSpec(
-        name="object",
-        tag_store=_object_tag_store,
-        lru=_object_lru,
-        description="per-line objects; the pinned reference implementation",
-        reference=True,
-    ),
-)
-SUBSTRATE_REGISTRY.register(
-    "soa",
-    SubstrateSpec(
-        name="soa",
-        tag_store=SoaTagStore,
-        lru=lambda geometry: SoaLruState(geometry.n_sets, geometry.associativity),
-        description="flat numpy arrays; the fast path",
-    ),
-)

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.cache.core import WriteThroughCache
 from repro.cache.hooks import ProtectionScheme, batched_surface
-from repro.cache.soa import export_set_state, replay_clean_set, resolve_substrate
+from repro.cache.soa import export_set_state, replay_clean_set
 from repro.cache.stats import CacheStats
 from repro.gpu.config import GpuConfig
 from repro.gpu.hierarchy import SimpleL1
@@ -161,11 +161,6 @@ class GpuSimulator:
     engine:
         Default inner loop: ``"batched"`` (set-partitioned fast path)
         or ``"scalar"`` (reference implementation).
-    substrate:
-        Tag/LRU backing for both cache levels: ``"soa"`` (flat numpy
-        arrays, fast) or ``"object"`` (per-line objects, the pinned
-        reference); None = session default.  Orthogonal to ``engine``
-        — all four combinations are bit-identical.
     """
 
     def __init__(
@@ -173,21 +168,15 @@ class GpuSimulator:
         config: GpuConfig | None = None,
         l2_scheme: ProtectionScheme | None = None,
         engine: str = "batched",
-        substrate: str | None = None,
     ):
         _resolve_engine(engine)
         self.config = config if config is not None else GpuConfig()
         self.engine = engine
-        self.substrate = resolve_substrate(substrate)
         self.l2 = WriteThroughCache(
-            self.config.l2,
-            l2_scheme,
-            self.config.l2_latencies,
-            substrate=self.substrate,
+            self.config.l2, l2_scheme, self.config.l2_latencies
         )
         self.l1s = [
-            SimpleL1(self.config.l1_geometry(), substrate=self.substrate)
-            for _ in range(self.config.n_cus)
+            SimpleL1(self.config.l1_geometry()) for _ in range(self.config.n_cus)
         ]
 
     # -- canonical observable state ----------------------------------------
@@ -201,8 +190,8 @@ class GpuSimulator:
         transition counts, ECC-cache counters, SDC events and the
         shared RNG stream position.  This is the state the
         differential executor (:mod:`repro.testing.differential`)
-        diffs across engine × substrate combinations; the engine and
-        substrate names themselves are deliberately excluded.
+        diffs across engines; the engine name itself is deliberately
+        excluded.
         """
         return {
             "l2": self.l2.state_snapshot(),

@@ -10,8 +10,8 @@ the stream.
 
 The pass works on the canonical filter state exported by
 :meth:`repro.gpu.hierarchy.SimpleL1.export_filter_state` (per-slot
-line numbers and distinct integer ages), so it is substrate-agnostic
-and bit-identical to the per-access path: same LRU victim (unique
+line numbers and distinct integer ages) and is bit-identical to the
+per-access path: same LRU victim (unique
 minimum age), same hit/miss stream, same ``CacheStats`` counters.
 
 The pass is a pure function of (initial L1 state, stream).  Campaign
@@ -41,8 +41,8 @@ _STAT_FIELDS = (
     "write_misses",
 )
 
-# Virgin LRU patterns per (n_sets, associativity) — what a fresh SoA
-# substrate holds before any touch.
+# Virgin LRU patterns per (n_sets, associativity) — what a fresh
+# SoaLruState holds before any touch.
 _VIRGIN_LRU: dict = {}
 
 
@@ -142,19 +142,16 @@ def l1_is_virgin(l1) -> bool:
     stats = l1.stats
     if stats.reads or stats.writes or stats.fills or stats.evictions:
         return False
-    if getattr(l1.tags, "_n_valid", None) != 0:
+    if l1.tags._n_valid:
         return False
     geometry = l1.geometry
-    n_sets, assoc = geometry.n_sets, geometry.associativity
-    if l1.substrate == "soa":
-        key = (n_sets, assoc)
-        pattern = _VIRGIN_LRU.get(key)
-        if pattern is None:
-            pattern = (list(range(0, -assoc, -1)) * n_sets, [1] * n_sets)
-            _VIRGIN_LRU[key] = pattern
-        return l1.lru.age == pattern[0] and l1.lru._clock == pattern[1]
-    order0 = list(range(assoc))
-    return all(list(row) == order0 for row in l1.lru._order)
+    key = (geometry.n_sets, geometry.associativity)
+    pattern = _VIRGIN_LRU.get(key)
+    if pattern is None:
+        n_sets, assoc = key
+        pattern = (list(range(0, -assoc, -1)) * n_sets, [1] * n_sets)
+        _VIRGIN_LRU[key] = pattern
+    return l1.lru.age == pattern[0] and l1.lru._clock == pattern[1]
 
 
 def run_l1_stream_memo(l1, stream, addrs, is_store, line_nos=None):

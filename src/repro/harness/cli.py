@@ -32,7 +32,7 @@ import sys
 from repro.harness import experiments
 from repro.metrics import METRICS
 from repro.harness.runner import CampaignError
-from repro.scenario.registries import ENGINE_REGISTRY, SUBSTRATE_REGISTRY
+from repro.scenario.registries import ENGINE_REGISTRY
 from repro.utils.tables import format_table
 
 __all__ = ["main", "scenario_main"]
@@ -163,7 +163,6 @@ def _run_perf(args) -> None:
         cache_dir=args.cache,
         progress=_progress_printer(args),
         engine=args.engine,
-        substrate=args.substrate,
         retries=args.retries,
         timeout=args.timeout,
         journal=args.journal,
@@ -408,7 +407,6 @@ def _scenario_list(args) -> int:
         ("schemes", SCHEME_REGISTRY),
         ("workloads", WORKLOAD_REGISTRY),
         ("engines", ENGINE_REGISTRY),
-        ("substrates", SUBSTRATE_REGISTRY),
     ):
         print(f"{label}: {', '.join(registry.names())}")
     return 0
@@ -492,13 +490,6 @@ def main(argv=None) -> int:
              f"the engine registry ({', '.join(ENGINE_REGISTRY.names())}); "
              "all engines are pinned bit-identical, so this only changes "
              "wall-clock time",
-    )
-    parser.add_argument(
-        "--substrate", default=None, choices=SUBSTRATE_REGISTRY.names(),
-        metavar="NAME",
-        help="tag/LRU backing "
-             f"({', '.join(SUBSTRATE_REGISTRY.names())}); default = session "
-             "default. Bit-identical across substrates",
     )
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",

@@ -100,7 +100,6 @@ def fig4_fig5_performance(
     cache_dir: Optional[str] = None,
     progress=None,
     engine: str = "batched",
-    substrate: Optional[str] = None,
     retries: int = 0,
     timeout: Optional[float] = None,
     journal=None,
@@ -112,11 +111,11 @@ def fig4_fig5_performance(
     GPU per (workload, scheme) cell.  Cells go through the parallel
     runner: ``jobs`` fans them out over processes, ``cache_dir``
     enables the on-disk result cache, and both are bit-identical to
-    the serial uncached run.  ``engine`` and ``substrate`` pick the
-    inner loop and the tag/LRU backing; every combination is pinned
-    bit-equivalent, so neither changes the numbers.  ``retries``,
-    ``timeout``, ``journal`` and ``resume`` are the campaign-hardening
-    knobs of :func:`~repro.harness.runner.run_cells`.
+    the serial uncached run.  ``engine`` picks the inner loop; the
+    engines are pinned bit-equivalent, so it never changes the
+    numbers.  ``retries``, ``timeout``, ``journal`` and ``resume`` are
+    the campaign-hardening knobs of
+    :func:`~repro.harness.runner.run_cells`.
     """
     workloads = list(workloads) if workloads is not None else workload_names()
     schemes = list(schemes) if schemes is not None else scheme_names()
@@ -132,7 +131,6 @@ def fig4_fig5_performance(
             seed=seed,
             accesses_per_cu=accesses_per_cu,
             engine=engine,
-            substrate=substrate,
         )
         for workload in workloads
         for scheme in schemes

@@ -80,6 +80,7 @@ __all__ = [
     "CellTimeoutError",
     "make_scheme",
     "scheme_names",
+    "build_cell",
     "run_cell",
     "run_cells",
 ]
@@ -183,6 +184,45 @@ class CellResult:
 # -- cell execution -----------------------------------------------------------
 
 
+def build_cell(scenario: ScenarioConfig, engine: Optional[str] = None):
+    """Construct one cell's simulator and trace; return ``(simulator, trace)``.
+
+    The one construction sequence behind :func:`run_cell` and the
+    differential executor (:func:`repro.testing.differential.run_scenario`):
+    a fresh GPU, the seed's shared fault map, the workload trace and
+    the per-cell scheme RNG namespace ``"<workload>/<scheme>"``.
+    ``engine`` overrides the scenario's ``[engine]`` choice.
+    """
+    workload = scenario.workload.name
+    scheme_name = scenario.scheme.name
+    seed = scenario.fault.seed
+    gpu_config = scenario.gpu.to_gpu_config()
+    fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
+    trace = trace_for(
+        workload, scenario.workload.accesses_per_cu, gpu_config.n_cus, seed
+    )
+    rngs = RngFactory(seed).child(f"{workload}/{scheme_name}")
+    scheme = make_scheme(
+        scheme_name,
+        gpu_config,
+        fault_map,
+        scenario.fault.voltage,
+        rngs,
+        scheme_config=scenario.scheme.overrides or None,
+        write_back=scenario.scheme.write_back,
+    )
+    simulator = GpuSimulator(
+        gpu_config,
+        scheme,
+        engine=engine if engine is not None else scenario.engine.engine,
+    )
+    if scenario.scheme.write_back:
+        simulator.l2 = WriteBackCache(
+            gpu_config.l2, scheme, gpu_config.l2_latencies
+        )
+    return simulator, trace
+
+
 def run_cell(spec) -> CellResult:
     """Execute one cell: fresh GPU, deterministic inputs, full metrics.
 
@@ -193,39 +233,9 @@ def run_cell(spec) -> CellResult:
     scheme RNG namespace.
     """
     scenario = as_scenario(spec)
-    workload = scenario.workload.name
-    scheme_name = scenario.scheme.name
-    voltage = scenario.fault.voltage
-    seed = scenario.fault.seed
     with METRICS.timer("cell.setup"):
-        gpu_config = scenario.gpu.to_gpu_config()
-        fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
-        trace = trace_for(
-            workload, scenario.workload.accesses_per_cu, gpu_config.n_cus, seed
-        )
-        rngs = RngFactory(seed).child(f"{workload}/{scheme_name}")
-        scheme = make_scheme(
-            scheme_name,
-            gpu_config,
-            fault_map,
-            voltage,
-            rngs,
-            scheme_config=scenario.scheme.overrides or None,
-            write_back=scenario.scheme.write_back,
-        )
-        simulator = GpuSimulator(
-            gpu_config,
-            scheme,
-            engine=scenario.engine.engine,
-            substrate=scenario.engine.substrate,
-        )
-        if scenario.scheme.write_back:
-            simulator.l2 = WriteBackCache(
-                gpu_config.l2,
-                scheme,
-                gpu_config.l2_latencies,
-                substrate=simulator.substrate,
-            )
+        simulator, trace = build_cell(scenario)
+    scheme = simulator.l2.scheme
 
     started = time.perf_counter()
     with METRICS.timer("cell.simulate"):
@@ -235,10 +245,10 @@ def run_cell(spec) -> CellResult:
 
     dfh = scheme.dfh_histogram() if hasattr(scheme, "dfh_histogram") else None
     return CellResult(
-        workload=workload,
-        scheme=scheme_name,
-        voltage=voltage,
-        seed=seed,
+        workload=scenario.workload.name,
+        scheme=scenario.scheme.name,
+        voltage=scenario.fault.voltage,
+        seed=scenario.fault.seed,
         cycles=result.cycles,
         instructions=result.instructions,
         l2=result.l2_stats.as_dict(),

@@ -58,8 +58,8 @@ def _format_value(value: Any) -> str:
 def dumps(data: Dict[str, Any], *, header: Optional[str] = None) -> str:
     """Serialise a nested dict to TOML (scalar keys first, then tables).
 
-    ``None`` values are skipped — absence is how optional knobs (e.g.
-    ``engine.substrate``) encode "use the session default".
+    ``None`` values are skipped (TOML has no null): absence is how an
+    optional knob encodes "use the default".
     """
     lines: List[str] = []
     if header:

@@ -29,7 +29,7 @@ __all__ = [
     # generator
     "ScenarioFuzzer",
     # differential executor
-    "COMBOS",
+    "ENGINES",
     "REFERENCE",
     "PLANTS",
     "Observation",
@@ -47,7 +47,7 @@ __all__ = [
 
 _LAZY = {
     "ScenarioFuzzer": "repro.testing.generator",
-    "COMBOS": "repro.testing.differential",
+    "ENGINES": "repro.testing.differential",
     "REFERENCE": "repro.testing.differential",
     "PLANTS": "repro.testing.differential",
     "Observation": "repro.testing.differential",

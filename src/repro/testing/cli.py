@@ -1,9 +1,9 @@
 """``repro fuzz`` — the differential fuzzing entry point.
 
-Generates seeded random scenarios, runs each through every engine ×
-substrate combination, and exits non-zero on the first divergence —
-after shrinking it and writing a commit-ready reproducer ``.toml``
-under ``tests/testing/repros/``.
+Generates seeded random scenarios, runs each through every engine, and
+exits non-zero on the first divergence — after shrinking it and
+writing a commit-ready reproducer ``.toml`` under
+``tests/testing/repros/``.
 
 Examples::
 
@@ -47,8 +47,8 @@ def fuzz_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
         description=(
-            "Differentially fuzz every engine × substrate combination "
-            "against the scalar×object reference."
+            "Differentially fuzz every engine against the scalar "
+            "reference."
         ),
     )
     parser.add_argument(

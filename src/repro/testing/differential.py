@@ -1,21 +1,19 @@
-"""The differential executor: the oracle for engine × substrate equivalence.
+"""The differential executor: the oracle for engine equivalence.
 
-One scenario, every inner-loop/substrate combination, one canonical
-diff.  :func:`run_scenario` mirrors the harness's cell construction
-(:func:`~repro.harness.runner.run_cell`) exactly — same fault-map
-stream, same trace, same per-cell RNG namespace — but keeps the
-simulator so the full observable state can be captured via
+One scenario, every inner loop, one canonical diff.
+:func:`run_scenario` builds the cell with the harness's own
+construction sequence (:func:`~repro.harness.runner.build_cell`) but
+keeps the simulator so the full observable state can be captured via
 :meth:`~repro.gpu.engine.GpuSimulator.state_snapshot`:
 cycles, per-CU cycles, every ``CacheStats`` counter of the L2 and all
 L1s, tag/LRU/dirty/disabled state, DFH state, transition counts,
 ECC-cache counters, memory traffic and the shared RNG stream position.
 
-:func:`diff_scenario` runs the scenario through a reference
-combination (scalar engine × object substrate — the pinned reference
-implementations) and every other combination, and reports the first
-mismatch as a :class:`Divergence`.  An exception raised by a
-non-reference combination is *also* a divergence (a crash in one
-engine is the strongest possible disagreement).  ``plant`` hooks
+:func:`diff_scenario` runs the scenario through the reference engine
+(``scalar``, the per-round Python loop) and every other engine, and
+reports the first mismatch as a :class:`Divergence`.  An exception
+raised by a non-reference engine is *also* a divergence (a crash in
+one engine is the strongest possible disagreement).  ``plant`` hooks
 inject a deliberate fault into the non-reference runs only — the
 self-test that proves the oracle can see.
 """
@@ -26,13 +24,13 @@ import hashlib
 import json
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.gpu.engine import ENGINES
 from repro.scenario.config import ScenarioConfig, as_scenario
 
 __all__ = [
-    "COMBOS",
+    "ENGINES",
     "REFERENCE",
     "PLANTS",
     "Observation",
@@ -43,18 +41,10 @@ __all__ = [
     "last_context",
 ]
 
-#: Every engine × substrate combination the equivalence contract pins.
-COMBOS: Tuple[Tuple[str, str], ...] = tuple(
-    (engine, substrate)
-    for engine in ENGINES
-    for substrate in ("object", "soa")
-)
+#: The pinned reference engine: the per-round Python loop.
+REFERENCE = "scalar"
 
-#: The pinned reference combination: the per-round Python loop over
-#: per-line object state.
-REFERENCE: Tuple[str, str] = ("scalar", "object")
-
-# Last scenario/combination handed to ``run_scenario`` — surfaced by
+# Last scenario/engine handed to ``run_scenario`` — surfaced by
 # ``tests/conftest.py`` on failure so a crashing fuzz case prints its
 # fingerprint, seed and TOML without any bookkeeping in the test.
 _LAST: Optional[dict] = None
@@ -67,10 +57,9 @@ def last_context() -> Optional[dict]:
 
 @dataclass
 class Observation:
-    """One combination's full observable outcome for one scenario."""
+    """One engine's full observable outcome for one scenario."""
 
     engine: str
-    substrate: str
     cycles: int
     instructions: int
     per_cu_cycles: List[int]
@@ -80,21 +69,19 @@ class Observation:
 
 @dataclass
 class Divergence:
-    """A combination that disagreed with the reference."""
+    """An engine that disagreed with the reference."""
 
     scenario: ScenarioConfig
-    reference: Tuple[str, str]
-    combo: Tuple[str, str]
+    reference: str
+    combo: str
     paths: List[str] = field(default_factory=list)
     ref_digest: str = ""
     digest: str = ""
     error: str = ""
 
     def describe(self) -> str:
-        engine, substrate = self.combo
         head = (
-            f"{engine}×{substrate} diverges from "
-            f"{self.reference[0]}×{self.reference[1]} on scenario "
+            f"{self.combo} diverges from {self.reference} on scenario "
             f"{self.scenario.fingerprint()[:12]} "
             f"(workload={self.scenario.workload.name}, "
             f"scheme={self.scenario.scheme.name}, "
@@ -117,53 +104,23 @@ def _canonical_digest(payload: dict) -> str:
 def run_scenario(
     scenario,
     engine: Optional[str] = None,
-    substrate: Optional[str] = None,
     plant: Optional[Callable] = None,
 ) -> Observation:
-    """Execute one scenario under one combination; keep everything.
+    """Execute one scenario under one engine; keep everything.
 
-    Mirrors :func:`~repro.harness.runner.run_cell`'s construction
-    sequence exactly (any drift here would fuzz a different model than
-    the harness runs).  ``plant`` is called with the constructed
+    The cell comes from :func:`~repro.harness.runner.build_cell`, the
+    construction sequence :func:`~repro.harness.runner.run_cell` uses,
+    so the oracle fuzzes the model the harness runs.  ``plant`` is
+    called with the constructed
     :class:`~repro.gpu.engine.GpuSimulator` before the kernel runs —
     the deliberate-fault hook.
     """
-    from repro.cache.core import WriteBackCache
-    from repro.gpu import GpuSimulator
-    from repro.harness.runner import fault_map_for, trace_for
-    from repro.scenario.schemes import make_scheme
-    from repro.utils.rng import RngFactory
+    from repro.harness.runner import build_cell
 
     scenario = as_scenario(scenario)
     engine = engine if engine is not None else scenario.engine.engine
-    substrate = substrate if substrate is not None else scenario.engine.substrate
-    _set_last_context(scenario, engine, substrate)
-    workload = scenario.workload.name
-    scheme_name = scenario.scheme.name
-    seed = scenario.fault.seed
-    gpu_config = scenario.gpu.to_gpu_config()
-    fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
-    trace = trace_for(
-        workload, scenario.workload.accesses_per_cu, gpu_config.n_cus, seed
-    )
-    rngs = RngFactory(seed).child(f"{workload}/{scheme_name}")
-    scheme = make_scheme(
-        scheme_name,
-        gpu_config,
-        fault_map,
-        scenario.fault.voltage,
-        rngs,
-        scheme_config=scenario.scheme.overrides or None,
-        write_back=scenario.scheme.write_back,
-    )
-    simulator = GpuSimulator(gpu_config, scheme, engine=engine, substrate=substrate)
-    if scenario.scheme.write_back:
-        simulator.l2 = WriteBackCache(
-            gpu_config.l2,
-            scheme,
-            gpu_config.l2_latencies,
-            substrate=simulator.substrate,
-        )
+    _set_last_context(scenario, engine)
+    simulator, trace = build_cell(scenario, engine)
     if plant is not None:
         plant(simulator)
     result = simulator.run(trace)
@@ -173,7 +130,6 @@ def run_scenario(
     snapshot["per_cu_cycles"] = [int(c) for c in result.per_cu_cycles]
     return Observation(
         engine=engine,
-        substrate=substrate,
         cycles=result.cycles,
         instructions=result.instructions,
         per_cu_cycles=[int(c) for c in result.per_cu_cycles],
@@ -184,29 +140,28 @@ def run_scenario(
 
 def diff_scenario(
     scenario,
-    combos: Sequence[Tuple[str, str]] = COMBOS,
-    reference: Tuple[str, str] = REFERENCE,
+    engines: Sequence[str] = ENGINES,
+    reference: str = REFERENCE,
     plant: Optional[Callable] = None,
 ) -> Optional[Divergence]:
-    """Run every combination and report the first disagreement, or None.
+    """Run every engine and report the first disagreement, or None.
 
-    The reference combination always runs *unplanted*; ``plant`` fires
-    only in the other combinations, so a planted fault is guaranteed
-    to surface as a divergence rather than cancelling out.
+    The reference engine always runs *unplanted*; ``plant`` fires
+    only in the other runs, so a planted fault is guaranteed to
+    surface as a divergence rather than cancelling out.
     """
     scenario = as_scenario(scenario)
-    reference = tuple(reference)
-    ref = run_scenario(scenario, reference[0], reference[1])
-    for engine, substrate in combos:
-        if (engine, substrate) == reference and plant is None:
+    ref = run_scenario(scenario, reference)
+    for engine in engines:
+        if engine == reference and plant is None:
             continue
         try:
-            obs = run_scenario(scenario, engine, substrate, plant=plant)
+            obs = run_scenario(scenario, engine, plant=plant)
         except Exception:
             return Divergence(
                 scenario=scenario,
                 reference=reference,
-                combo=(engine, substrate),
+                combo=engine,
                 ref_digest=ref.digest,
                 error=traceback.format_exc(limit=8),
             )
@@ -214,7 +169,7 @@ def diff_scenario(
             return Divergence(
                 scenario=scenario,
                 reference=reference,
-                combo=(engine, substrate),
+                combo=engine,
                 paths=snapshot_diff(ref.snapshot, obs.snapshot),
                 ref_digest=ref.digest,
                 digest=obs.digest,
@@ -255,7 +210,7 @@ def _walk_diff(a, b, path: str, out: List[str], limit: int) -> None:
         out.append(f"{path}: ref={a!r} got={b!r}")
 
 
-def _set_last_context(scenario: ScenarioConfig, engine: str, substrate) -> None:
+def _set_last_context(scenario: ScenarioConfig, engine: str) -> None:
     global _LAST
     _LAST = {
         "fingerprint": scenario.fingerprint(),
@@ -263,7 +218,6 @@ def _set_last_context(scenario: ScenarioConfig, engine: str, substrate) -> None:
         "workload": scenario.workload.name,
         "scheme": scenario.scheme.name,
         "engine": engine,
-        "substrate": substrate,
         "toml": scenario.to_toml(header="last differential scenario"),
     }
 

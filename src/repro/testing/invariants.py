@@ -1,4 +1,4 @@
-"""Armable runtime invariants for the cache substrates and bulk tiers.
+"""Armable runtime invariants for the cache tag store and bulk tiers.
 
 The checks here are the *structural* half of the correctness contract
 the differential executor (:mod:`repro.testing.differential`) pins
@@ -7,8 +7,7 @@ permutation, the lookup index must never alias, and the batched
 interpreter's simulation window must never draw shared RNG.
 
 They are armed by the ``REPRO_CHECK_INVARIANTS`` environment variable
-(read once per cache/interpreter construction, like
-``REPRO_SUBSTRATE``).  When the flag is off the hot paths carry no
+(read once per cache/interpreter construction).  When the flag is off the hot paths carry no
 check at all — :meth:`repro.cache.core.CacheModel._arm_invariants`
 wraps the access methods per instance only when arming, and the bulk
 commit points guard on a single attribute — which the
@@ -60,9 +59,9 @@ def _fail(message: str) -> None:
 
 
 def check_set_invariants(cache, set_index: int) -> None:
-    """Check one set's structural invariants on either substrate.
+    """Check one set's structural invariants.
 
-    Validates, through the substrate-agnostic tag-store API only:
+    Validates, through the public tag-store API only:
 
     - the maintained ``valid_in_set`` / ``disabled_in_set`` counters
       against a way scan;
@@ -70,11 +69,11 @@ def check_set_invariants(cache, set_index: int) -> None:
     - no tag aliasing: every valid way's line number looks up back to
       exactly that way (the lookup index and the tag arrays agree, and
       a line can never be resident twice);
-    - the LRU recency order is a permutation of the ways.
+    - the set's LRU ages are pairwise distinct, so its recency order
+      is a well-defined permutation of the ways.
 
-    O(associativity) per call (plus an O(log assoc) sort inside
-    ``recency_order`` on the SoA substrate) — cheap enough to run per
-    access when armed.
+    O(associativity) per call — cheap enough to run per access when
+    armed.
     """
     tags = cache.tags
     geometry = cache.geometry
@@ -109,11 +108,12 @@ def check_set_invariants(cache, set_index: int) -> None:
             f"set {set_index}: disabled_in_set counter "
             f"{tags.disabled_in_set[set_index]} != scanned {n_disabled}"
         )
-    order = list(cache.lru.recency_order(set_index))
-    if sorted(order) != list(range(assoc)):
+    base = set_index * assoc
+    ages = cache.lru.age[base : base + assoc]
+    if len(set(ages)) != assoc:
         _fail(
-            f"set {set_index}: LRU recency order {order} is not a "
-            f"permutation of 0..{assoc - 1}"
+            f"set {set_index}: LRU ages {ages} are not pairwise distinct, "
+            "so the recency order is not a permutation of the ways"
         )
 
 
@@ -127,12 +127,10 @@ def check_cache_invariants(cache) -> None:
     for set_index in range(cache.geometry.n_sets):
         check_set_invariants(cache, set_index)
     tags = cache.tags
-    verify = getattr(tags, "verify", None)
-    if verify is not None:
-        try:
-            verify()
-        except AssertionError as exc:  # normalise substrate-side failures
-            raise InvariantError(f"[{INVARIANTS_ENV}] {exc}") from exc
+    try:
+        tags.verify()
+    except AssertionError as exc:  # normalise tag-store-side failures
+        raise InvariantError(f"[{INVARIANTS_ENV}] {exc}") from exc
     n_valid = sum(
         1
         for set_index in range(cache.geometry.n_sets)

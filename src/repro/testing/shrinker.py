@@ -221,7 +221,7 @@ def write_reproducer(
 
 
 def interesting_divergence(
-    combos=None,
+    engines=None,
     reference=None,
     plant=None,
 ) -> Callable[[ScenarioConfig], bool]:
@@ -229,8 +229,8 @@ def interesting_divergence(
     from repro.testing import differential
 
     kwargs = {}
-    if combos is not None:
-        kwargs["combos"] = combos
+    if engines is not None:
+        kwargs["engines"] = engines
     if reference is not None:
         kwargs["reference"] = reference
 

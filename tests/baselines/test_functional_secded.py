@@ -26,7 +26,7 @@ class TestBaseBehaviour:
     def test_mbist_disable_still_applies(self):
         faults = {GEO.line_id(0, 0): [(1, 1), (2, 1)]}
         cache, _ = build(faults)
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
     def test_clean_line_clean_reads(self):
         cache, scheme = build({})

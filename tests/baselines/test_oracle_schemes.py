@@ -26,13 +26,13 @@ class TestOracleDisabling:
     def test_flair_disables_two_faults(self):
         faults = {GEO.line_id(0, 0): [(1, 1), (2, 1)]}
         cache, scheme = build(FlairScheme, faults)
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
         assert scheme.disabled_fraction() == pytest.approx(1 / GEO.n_lines)
 
     def test_flair_keeps_single_fault(self):
         faults = {GEO.line_id(0, 0): [(1, 1)]}
         cache, _ = build(FlairScheme, faults)
-        assert not cache.tags.line(0, 0).disabled
+        assert not cache.tags.is_disabled(0, 0)
 
     def test_dected_keeps_two_disables_three(self):
         faults = {
@@ -40,28 +40,28 @@ class TestOracleDisabling:
             GEO.line_id(0, 1): [(1, 1), (2, 1), (3, 1)],
         }
         cache, _ = build(DectedScheme, faults)
-        assert not cache.tags.line(0, 0).disabled
-        assert cache.tags.line(0, 1).disabled
+        assert not cache.tags.is_disabled(0, 0)
+        assert cache.tags.is_disabled(0, 1)
 
     def test_msecc_keeps_eleven_disables_twelve(self):
         eleven = [(i, 1) for i in range(11)]
         twelve = [(i, 1) for i in range(12)]
         faults = {GEO.line_id(0, 0): eleven, GEO.line_id(0, 1): twelve}
         cache, _ = build(MsEccScheme, faults)
-        assert not cache.tags.line(0, 0).disabled
-        assert cache.tags.line(0, 1).disabled
+        assert not cache.tags.is_disabled(0, 0)
+        assert cache.tags.is_disabled(0, 1)
 
     def test_checkbit_faults_counted_for_secded(self):
         # SECDED checkbits live in the same LV array: a data fault +
         # a checkbit fault exceeds the single-error budget.
         faults = {GEO.line_id(0, 0): [(1, 1), (530, 1)]}
         cache, _ = build(SecDedLineScheme, faults)
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
     def test_checkbit_faults_ignored_for_msecc(self):
         faults = {GEO.line_id(0, 0): [(530, 1), (531, 1)] + [(i, 1) for i in range(11)]}
         cache, _ = build(MsEccScheme, faults)
-        assert not cache.tags.line(0, 0).disabled
+        assert not cache.tags.is_disabled(0, 0)
 
     def test_invalid_correct_t(self):
         fault_map = FaultMap.from_faults(GEO.n_lines, {})
@@ -100,7 +100,7 @@ class TestOracleAccessPath:
         faults = {GEO.line_id(0, 0): [(1, 1), (2, 1)]}
         cache, _ = build(FlairScheme, faults)
         cache.reset()
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
 
 class TestWholeSetDisabled:

@@ -4,7 +4,7 @@ The scalar access semantics live in exactly one place
 (:class:`repro.cache.core.CacheModel`); these tests pin the strategy
 objects that parameterize it, the formal transaction entry point, the
 ``semantics_batchable`` precondition the bulk tiers consult, and the
-compatibility shims left at the old module paths.
+access streams recorded on the deleted object tag store.
 """
 
 import hashlib
@@ -27,8 +27,6 @@ from repro.cache.core import (
 )
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import UnprotectedScheme
-
-SUBSTRATES = ("object", "soa")
 
 
 def small_geometry() -> CacheGeometry:
@@ -179,12 +177,11 @@ class TestSubstrateParity:
 
 class TestDirtyEvictionAccounting:
     """Write-back dirty lines must be written to memory exactly once,
-    when evicted — on either substrate."""
+    when evicted."""
 
-    @pytest.mark.parametrize("substrate", SUBSTRATES)
-    def test_dirty_eviction_writes_back(self, substrate):
+    def test_dirty_eviction_writes_back(self):
         geometry = small_geometry()
-        cache = WriteBackCache(geometry, substrate=substrate)
+        cache = WriteBackCache(geometry)
         assoc, stride = geometry.associativity, geometry.n_sets * 64
         # Fill set 0 with dirty lines (write-allocate misses)...
         for i in range(assoc):
@@ -197,28 +194,25 @@ class TestDirtyEvictionAccounting:
         assert cache.stats.evictions == assoc
         assert cache.memory_writes == assoc  # one write-back per dirty line
 
-    @pytest.mark.parametrize("substrate", SUBSTRATES)
-    def test_clean_eviction_writes_nothing(self, substrate):
+    def test_clean_eviction_writes_nothing(self):
         geometry = small_geometry()
-        cache = WriteBackCache(geometry, substrate=substrate)
+        cache = WriteBackCache(geometry)
         assoc, stride = geometry.associativity, geometry.n_sets * 64
         for i in range(2 * assoc):
             cache.read(i * stride)
         assert cache.stats.evictions == assoc
         assert cache.memory_writes == 0
 
-    @pytest.mark.parametrize("substrate", SUBSTRATES)
-    def test_invalidate_line_flushes_dirty(self, substrate):
-        cache = WriteBackCache(small_geometry(), substrate=substrate)
+    def test_invalidate_line_flushes_dirty(self):
+        cache = WriteBackCache(small_geometry())
         cache.write(0)
         way = cache.tags.lookup(0)
         before = cache.memory_writes
         cache.invalidate_line(0, way)
         assert cache.memory_writes == before + 1
 
-    @pytest.mark.parametrize("substrate", SUBSTRATES)
-    def test_rewrite_does_not_double_count_dirty(self, substrate):
-        cache = WriteBackCache(small_geometry(), substrate=substrate)
+    def test_rewrite_does_not_double_count_dirty(self):
+        cache = WriteBackCache(small_geometry())
         for _ in range(5):
             cache.write(0)  # stays dirty; on_dirty fires once
         stride = cache.geometry.n_sets * 64

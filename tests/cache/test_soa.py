@@ -1,25 +1,18 @@
-"""Struct-of-arrays substrate vs the object reference.
+"""The tag store and LRU state against a naive model.
 
-Drives both tag-store implementations through the same randomized
-operation sequences and checks every observable after every step, and
-does the same for the two LRU states.  This is the unit-level half of
-the substrate contract; the system-level half (whole simulations
-bit-identical) lives in ``tests/gpu/test_substrate_equivalence.py``.
+Drives :class:`SoaTagStore` and a plain-Python model of the same
+contract through identical randomized operation sequences and checks
+every observable after every step, and does the same for
+:class:`SoaLruState`.  The models below are deliberately independent
+of ``repro.cache``: per-set ``tag -> way`` dicts over per-way flags,
+and an MRU-first list per set.
 """
 
 import numpy as np
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import LruState
-from repro.cache.object_store import SetAssocCache
-from repro.cache.soa import (
-    SUBSTRATES,
-    SoaLruState,
-    SoaTagStore,
-    default_substrate,
-    resolve_substrate,
-)
+from repro.cache.soa import SoaLruState, SoaTagStore
 
 GEO = CacheGeometry(size_bytes=4096, line_bytes=64, associativity=4)
 # 16 sets x 4 ways; address pool spans 4x the cache so sets see
@@ -27,42 +20,112 @@ GEO = CacheGeometry(size_bytes=4096, line_bytes=64, associativity=4)
 ADDR_POOL = [line * GEO.line_bytes for line in range(4 * GEO.n_lines)]
 
 
-def assert_stores_equal(ref: SetAssocCache, soa: SoaTagStore):
-    """Every observable of the two tag stores matches."""
-    assert soa.count_valid() == ref.count_valid()
-    assert soa.count_disabled() == ref.count_disabled()
-    assert soa.valid_in_set == ref.valid_in_set
-    assert soa.disabled_in_set == ref.disabled_in_set
+class ModelTagStore:
+    """Per-set ``tag -> way`` dicts; ``tags[set][way]`` is None when invalid."""
+
+    def __init__(self, n_sets: int, assoc: int, line_bytes: int):
+        self.n_sets, self.assoc, self.line_bytes = n_sets, assoc, line_bytes
+        self.index = [{} for _ in range(n_sets)]
+        self.tags = [[None] * assoc for _ in range(n_sets)]
+        self.disabled = [[False] * assoc for _ in range(n_sets)]
+        self.dirty = [[False] * assoc for _ in range(n_sets)]
+
+    def split(self, addr: int):
+        line = addr // self.line_bytes
+        return line % self.n_sets, line // self.n_sets
+
+    def lookup(self, addr: int):
+        set_index, tag = self.split(addr)
+        return self.index[set_index].get(tag)
+
+    def insert(self, addr: int, way: int) -> None:
+        set_index, tag = self.split(addr)
+        if self.disabled[set_index][way]:
+            raise ValueError("cannot fill a disabled line")
+        self.invalidate(set_index, way)
+        self.tags[set_index][way] = tag
+        self.index[set_index][tag] = way
+
+    def invalidate(self, set_index: int, way: int) -> None:
+        old = self.tags[set_index][way]
+        if old is not None:
+            del self.index[set_index][old]
+        self.tags[set_index][way] = None
+        self.dirty[set_index][way] = False
+
+    def disable(self, set_index: int, way: int) -> None:
+        self.invalidate(set_index, way)
+        self.disabled[set_index][way] = True
+
+    def enable(self, set_index: int, way: int) -> None:
+        self.disabled[set_index][way] = False
+
+    def enable_all(self) -> None:
+        for row in self.disabled:
+            row[:] = [False] * self.assoc
+
+    def set_dirty(self, set_index: int, way: int, value: bool) -> None:
+        self.dirty[set_index][way] = value
+
+
+class ModelLru:
+    """One MRU-first list of ways per set."""
+
+    def __init__(self, n_sets: int, assoc: int):
+        self.order = [list(range(assoc)) for _ in range(n_sets)]
+
+    def touch(self, set_index: int, way: int) -> None:
+        self.order[set_index].remove(way)
+        self.order[set_index].insert(0, way)
+
+    def demote(self, set_index: int, way: int) -> None:
+        self.order[set_index].remove(way)
+        self.order[set_index].append(way)
+
+    def recency_order(self, set_index: int):
+        return tuple(self.order[set_index])
+
+    def lru_choice(self, set_index: int, eligible):
+        for way in reversed(self.order[set_index]):
+            if way in eligible:
+                return way
+        return None
+
+
+def new_model() -> ModelTagStore:
+    return ModelTagStore(GEO.n_sets, GEO.associativity, GEO.line_bytes)
+
+
+def assert_stores_equal(ref: ModelTagStore, soa: SoaTagStore):
+    """Every observable of the tag store matches the model."""
+    valid = [[tag is not None for tag in row] for row in ref.tags]
+    assert soa.count_valid() == sum(map(sum, valid))
+    assert soa.count_disabled() == sum(map(sum, ref.disabled))
+    assert soa.valid_in_set == [sum(row) for row in valid]
+    assert soa.disabled_in_set == [sum(row) for row in ref.disabled]
+    all_ways = list(range(GEO.associativity))
     for set_index in range(GEO.n_sets):
-        assert soa.enabled_ways(set_index) == ref.enabled_ways(set_index)
-        assert soa.first_invalid(set_index) == ref.first_invalid(set_index)
-        all_ways = list(range(GEO.associativity))
-        assert soa.invalid_among(set_index, all_ways) == ref.invalid_among(
-            set_index, all_ways
-        )
-        for way in range(GEO.associativity):
-            assert soa.is_valid(set_index, way) == ref.is_valid(set_index, way)
-            assert soa.is_disabled(set_index, way) == ref.is_disabled(
-                set_index, way
-            )
-            assert soa.is_dirty(set_index, way) == ref.is_dirty(set_index, way)
-            if ref.is_valid(set_index, way):
-                assert soa.tag_at(set_index, way) == ref.tag_at(set_index, way)
-            view, line = soa.line(set_index, way), ref.line(set_index, way)
-            assert (view.valid, view.disabled, view.dirty) == (
-                line.valid,
-                line.disabled,
-                line.dirty,
-            )
+        invalid = [w for w in all_ways if not valid[set_index][w]]
+        enabled = [w for w in all_ways if not ref.disabled[set_index][w]]
+        assert soa.enabled_ways(set_index) == enabled
+        assert soa.first_invalid(set_index) == (invalid[0] if invalid else None)
+        assert soa.invalid_among(set_index, all_ways) == invalid
+        for way in all_ways:
+            assert soa.is_valid(set_index, way) == valid[set_index][way]
+            assert soa.is_disabled(set_index, way) == ref.disabled[set_index][way]
+            assert soa.is_dirty(set_index, way) == ref.dirty[set_index][way]
+            if valid[set_index][way]:
+                assert soa.tag_at(set_index, way) == ref.tags[set_index][way]
     for addr in ADDR_POOL:
         assert soa.lookup(addr) == ref.lookup(addr)
+    soa.verify()
 
 
 class TestTagStoreEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_op_sequence(self, seed):
         rng = np.random.default_rng(seed)
-        ref = SetAssocCache(GEO)
+        ref = new_model()
         soa = SoaTagStore(GEO)
         for step in range(600):
             op = rng.choice(
@@ -79,7 +142,7 @@ class TestTagStoreEquivalence:
                 if ref.lookup(addr) is not None:
                     continue
                 set_index = GEO.set_of(addr)
-                if ref.is_disabled(set_index, way):
+                if ref.disabled[set_index][way]:
                     with pytest.raises(ValueError):
                         ref.insert(addr, way)
                     with pytest.raises(ValueError):
@@ -99,7 +162,7 @@ class TestTagStoreEquivalence:
             elif op == "dirty":
                 # Only resident lines are ever dirtied (write-back
                 # cache marks after a hit or fill).
-                if not ref.is_valid(set_index, way):
+                if ref.tags[set_index][way] is None:
                     continue
                 value = bool(rng.integers(2))
                 ref.set_dirty(set_index, way, value)
@@ -137,35 +200,12 @@ class TestTagStoreEquivalence:
         assert soa.lookup(0) == 2
 
 
-class TestLineView:
-    def test_flag_writes_maintain_counters(self):
-        soa = SoaTagStore(GEO)
-        view = soa.line(3, 1)
-        assert not view.disabled and not view.dirty
-        view.disabled = True
-        assert soa.count_disabled() == 1
-        assert soa.disabled_in_set[3] == 1
-        view.disabled = True  # idempotent
-        assert soa.count_disabled() == 1
-        view.disabled = False
-        assert soa.count_disabled() == 0
-        view.dirty = True
-        assert soa.is_dirty(3, 1)
-
-    def test_ways_of_set_tracks_store(self):
-        soa = SoaTagStore(GEO)
-        soa.insert(5 * GEO.line_bytes, way=0)  # set 5
-        views = soa.ways_of_set(5)
-        assert [v.valid for v in views] == [True, False, False, False]
-        assert views[0].tag == GEO.tag_of(5 * GEO.line_bytes)
-
-
 class TestLruEquivalence:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_randomized_touch_demote(self, seed):
         rng = np.random.default_rng(seed)
         n_sets, assoc = 8, 4
-        ref = LruState(n_sets, assoc)
+        ref = ModelLru(n_sets, assoc)
         soa = SoaLruState(n_sets, assoc)
         for _ in range(500):
             set_index = int(rng.integers(n_sets))
@@ -177,7 +217,7 @@ class TestLruEquivalence:
                 ref.demote(set_index, way)
                 soa.demote(set_index, way)
             assert soa.recency_order(set_index) == ref.recency_order(set_index)
-            assert soa.lru_way(set_index) == ref.lru_way(set_index)
+            assert soa.lru_way(set_index) == ref.recency_order(set_index)[-1]
             n_eligible = int(rng.integers(1, assoc + 1))
             eligible = sorted(
                 rng.choice(assoc, size=n_eligible, replace=False).tolist()
@@ -187,10 +227,10 @@ class TestLruEquivalence:
             )
 
     def test_initial_order_matches_reference(self):
-        ref, soa = LruState(3, 4), SoaLruState(3, 4)
+        ref, soa = ModelLru(3, 4), SoaLruState(3, 4)
         for set_index in range(3):
             assert soa.recency_order(set_index) == ref.recency_order(set_index)
-            assert soa.lru_way(set_index) == ref.lru_way(set_index) == 3
+            assert soa.lru_way(set_index) == 3
 
     def test_validates_shape(self):
         with pytest.raises(ValueError):
@@ -198,21 +238,3 @@ class TestLruEquivalence:
         with pytest.raises(ValueError):
             SoaLruState(4, 0)
 
-
-class TestSubstrateSelection:
-    def test_resolve_explicit(self):
-        assert resolve_substrate("object") == "object"
-        assert resolve_substrate("soa") == "soa"
-        with pytest.raises(ValueError):
-            resolve_substrate("aos")
-
-    def test_default_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
-        assert default_substrate() == "soa"
-        for name in SUBSTRATES:
-            monkeypatch.setenv("REPRO_SUBSTRATE", name)
-            assert default_substrate() == name
-            assert resolve_substrate(None) == name
-        monkeypatch.setenv("REPRO_SUBSTRATE", "bogus")
-        with pytest.raises(ValueError):
-            default_substrate()

@@ -42,12 +42,12 @@ class TestDirtyTracking:
     def test_write_marks_dirty(self, cache, geo):
         cache.write(0x100)
         way = cache.tags.lookup(0x100)
-        assert cache.tags.line(geo.set_of(0x100), way).dirty
+        assert cache.tags.is_dirty(geo.set_of(0x100), way)
 
     def test_read_does_not_mark_dirty(self, cache, geo):
         cache.read(0x100)
         way = cache.tags.lookup(0x100)
-        assert not cache.tags.line(geo.set_of(0x100), way).dirty
+        assert not cache.tags.is_dirty(geo.set_of(0x100), way)
 
     def test_on_dirty_hook_fires_once(self, geo):
         events = []
@@ -82,8 +82,8 @@ class TestDirtyTracking:
             cache.read(i * stride)
         # The way that held the dirty line was refilled clean.
         for w in range(4):
-            assert not cache.tags.line(geo.set_of(0), w).dirty or (
-                cache.tags.line(geo.set_of(0), w).valid
+            assert not cache.tags.is_dirty(geo.set_of(0), w) or (
+                cache.tags.is_valid(geo.set_of(0), w)
             )
 
 
@@ -133,8 +133,11 @@ class TestDueOnDirty:
         cache.write(0x100)
         scheme.armed = True
         cache.read(0x100)
-        way_states = cache.tags.ways_of_set(geo.set_of(0x100))
-        assert any(line.disabled for line in way_states)
+        set_index = geo.set_of(0x100)
+        assert any(
+            cache.tags.is_disabled(set_index, way)
+            for way in range(geo.associativity)
+        )
 
 
 class TestBypass:

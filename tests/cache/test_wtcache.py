@@ -119,7 +119,7 @@ class TestErrorOutcomes:
         way_before = cache.tags.lookup(0)
         cache.read(0)
         set_index = geo.set_of(0)
-        assert cache.tags.line(set_index, way_before).disabled
+        assert cache.tags.is_disabled(set_index, way_before)
         assert cache.stats.error_induced_misses == 1
 
     def test_all_ways_disabled_bypasses(self, geo):

@@ -77,7 +77,7 @@ def pytest_runtest_makereport(item, call):
             f"fingerprint: {context['fingerprint']}\n"
             f"workload={context['workload']} scheme={context['scheme']} "
             f"seed={context['seed']} "
-            f"engine={context['engine']} substrate={context['substrate']}\n"
+            f"engine={context['engine']}\n"
             f"regenerate: save the TOML below and run\n"
             f"  repro scenario run <file>.toml\n\n"
             f"{context['toml']}"

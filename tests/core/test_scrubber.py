@@ -47,7 +47,7 @@ class TestReclaiming:
         reclaimed = scrubber.full_sweep()
         assert reclaimed == 1
         assert scheme.dfh[line_id] == int(Dfh.INITIAL)
-        assert not cache.tags.line(0, 0).disabled
+        assert not cache.tags.is_disabled(0, 0)
         # Drop the copy the error-miss refetched into another way, so
         # the next fill exercises the reclaimed (highest-priority) way.
         cache.invalidate_line(0, cache.tags.lookup(addr_of(0)))
@@ -62,17 +62,17 @@ class TestReclaiming:
         cache.read(addr_of(0))
         scheme.errors.set_effective(GEO.line_id(0, 0), {0, 1})
         cache.read(addr_of(0))
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
         Scrubber(scheme).full_sweep()
-        assert not cache.tags.line(0, 0).disabled
+        assert not cache.tags.is_disabled(0, 0)
         # ... but the next training pass re-disables it.
         cache.invalidate_line(0, cache.tags.lookup(addr_of(0)))
         cache.read(addr_of(0))
         assert cache.tags.lookup(addr_of(0)) == 0
         scheme.errors.set_effective(GEO.line_id(0, 0), {0, 1})
         cache.read(addr_of(0))
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
     def test_paced_walk(self):
         cache, scheme = build({})

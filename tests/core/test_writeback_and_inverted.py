@@ -58,7 +58,7 @@ class TestWriteBackProtocol:
         cache.write(addr_of(0))
         set_index = GEO.set_of(addr_of(0))
         way = cache.tags.lookup(addr_of(0))
-        assert cache.tags.line(set_index, way).dirty
+        assert cache.tags.is_dirty(set_index, way)
 
     def test_invalidation_of_dirty_line_writes_back(self):
         cache, _ = build_wb({})

@@ -1,7 +1,7 @@
 """Engine equivalence: scalar vs batched.
 
-The acceptance contract for the fast path: for every workload,
-scheme, substrate and engine, both inner loops produce bit-identical
+The acceptance contract for the fast path: for every workload and
+scheme, both inner loops produce bit-identical
 cycles, per-CU cycles and every CacheStats counter (L2 and all L1s).
 Pinned here on a workload x scheme matrix, a seeded randomized fuzz
 sweep, and directed edge cases (ragged streams, bank conflicts, empty
@@ -23,7 +23,6 @@ from repro.metrics import METRICS
 from repro.scenario.config import cell_scenario
 from repro.utils.rng import RngFactory
 
-SUBSTRATES = ("object", "soa")
 WORKLOADS = ("fft", "xsbench", "nekbone")
 SCHEMES = ("baseline", "killi_1:64", "dected")
 
@@ -33,7 +32,6 @@ def run_with(
     workload: str,
     scheme_name: str,
     seed: int = 21,
-    substrate: str = "soa",
     accesses: int = 700,
 ):
     gpu_config = GpuConfig()
@@ -46,9 +44,7 @@ def run_with(
         scheme_name, gpu_config, fault_map, 0.625,
         RngFactory(seed).child(f"{workload}/{scheme_name}"),
     )
-    simulator = GpuSimulator(
-        gpu_config, scheme, engine=engine, substrate=substrate
-    )
+    simulator = GpuSimulator(gpu_config, scheme, engine=engine)
     result = simulator.run(trace)
     return result, simulator
 
@@ -68,11 +64,8 @@ def result_key(result, simulator):
 def assert_identical(workload: str, scheme_name: str, **kwargs):
     reference = result_key(*run_with("scalar", workload, scheme_name, **kwargs))
     for engine in ENGINES[1:]:
-        for substrate in SUBSTRATES:
-            got = result_key(*run_with(
-                engine, workload, scheme_name, substrate=substrate, **kwargs
-            ))
-            assert got == reference, (engine, substrate, workload, scheme_name)
+        got = result_key(*run_with(engine, workload, scheme_name, **kwargs))
+        assert got == reference, (engine, workload, scheme_name)
 
 
 class TestWorkloadSchemeMatrix:
@@ -158,14 +151,11 @@ class TestDirectedEdgeCases:
                 prepare=None):
         results = []
         for engine in ENGINES:
-            for substrate in SUBSTRATES:
-                sim = GpuSimulator(config, scheme_factory(), engine=engine,
-                                   substrate=substrate)
-                if prepare is not None:
-                    prepare(sim)
-                r = sim.run(trace)
-                results.append((r.cycles, r.per_cu_cycles,
-                                r.l2_stats.as_dict()))
+            sim = GpuSimulator(config, scheme_factory(), engine=engine)
+            if prepare is not None:
+                prepare(sim)
+            r = sim.run(trace)
+            results.append((r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()))
         return results
 
     def assert_all_equal(self, results):
@@ -233,14 +223,12 @@ class TestDirectedEdgeCases:
         traces = [random_trace(rng), random_trace(rng)]
         results = []
         for engine in ENGINES:
-            for substrate in SUBSTRATES:
-                sim = GpuSimulator(small_config(), UnprotectedScheme(),
-                                   engine=engine, substrate=substrate)
-                rs = sim.run_kernels(traces)
-                results.append([
-                    (r.cycles, r.per_cu_cycles, r.l2_stats.as_dict())
-                    for r in rs
-                ])
+            sim = GpuSimulator(small_config(), UnprotectedScheme(),
+                               engine=engine)
+            rs = sim.run_kernels(traces)
+            results.append([
+                (r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()) for r in rs
+            ])
         for got in results[1:]:
             assert got == results[0]
 
@@ -278,8 +266,7 @@ class TestBatchedFallback:
         config = config or small_config()
         outs = []
         for engine in ("scalar", "batched"):
-            sim = GpuSimulator(config, scheme_factory(), engine=engine,
-                               substrate="soa")
+            sim = GpuSimulator(config, scheme_factory(), engine=engine)
             r = sim.run(trace)
             outs.append((r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()))
         assert outs[0] == outs[1]
@@ -336,7 +323,7 @@ class TestBatchedFallback:
             for engine in ENGINES:
                 spec = cell_scenario(
                     "fft", scheme, seed=13, accesses_per_cu=400,
-                    write_back=True, engine=engine, substrate="soa",
+                    write_back=True, engine=engine,
                 )
                 d = run_cell(spec).to_dict()
                 d.pop("elapsed_s", None)

@@ -4,12 +4,13 @@ The L2 and L1 tag/LRU state used to have two backings: the
 struct-of-arrays store (:mod:`repro.cache.soa`) and a per-line object
 store kept as its reference.  Before the object store was deleted,
 every case below was run at commit 81a102b on the reference
-combination, ``engine="scalar", substrate="object"``, and its final
-state was recorded here as literals: the cycle count and
+combination, the ``scalar`` engine over the ``object`` substrate, and
+its final state was recorded here as literals: the cycle count and
 :meth:`~repro.gpu.engine.GpuSimulator.state_digest` of a cell built
 exactly as the harness builds it (same fault map, trace and per-cell
-RNG namespace).  The same cases run on ``batched`` x ``soa`` produced
-the same records at that commit.
+RNG namespace; :func:`~repro.harness.runner.build_cell` today).  The
+same cases run on ``batched`` x ``soa`` produced the same records at
+that commit.
 
 Both engines must still reproduce every record on the one remaining
 substrate, so the deletion is proven by recorded results rather than
@@ -25,7 +26,12 @@ from repro.cache.core import WriteThroughCache
 from repro.cache.geometry import CacheGeometry
 from repro.gpu.config import GpuConfig
 from repro.gpu.engine import ENGINES, GpuSimulator
-from repro.harness.runner import fault_map_for, make_scheme, trace_for
+from repro.harness.runner import (
+    build_cell,
+    fault_map_for,
+    make_scheme,
+    trace_for,
+)
 from repro.scenario.config import cell_scenario
 from repro.utils.rng import RngFactory
 
@@ -77,25 +83,6 @@ FIG4_SLICE = {
 }
 
 
-def run_cell_on(scenario, engine: str):
-    """Build one cell the way the harness does and run it."""
-    gpu_config = scenario.gpu.to_gpu_config()
-    workload = scenario.workload.name
-    seed = scenario.fault.seed
-    scheme = make_scheme(
-        scenario.scheme.name,
-        gpu_config,
-        fault_map_for(gpu_config.l2.n_lines, seed),
-        scenario.fault.voltage,
-        RngFactory(seed).child(f"{workload}/{scenario.scheme.name}"),
-    )
-    simulator = GpuSimulator(gpu_config, scheme, engine=engine)
-    trace = trace_for(
-        workload, scenario.workload.accesses_per_cu, gpu_config.n_cus, seed
-    )
-    return simulator.run(trace), simulator
-
-
 def assert_reproduces(workload, scheme, seed, accesses, pinned):
     """Every engine lands on the recorded cycles and state digest, and
     the engines agree on everything the digest leaves out."""
@@ -104,7 +91,8 @@ def assert_reproduces(workload, scheme, seed, accesses, pinned):
     )
     timings = []
     for engine in ENGINES:
-        result, simulator = run_cell_on(scenario, engine)
+        simulator, trace = build_cell(scenario, engine)
+        result = simulator.run(trace)
         got = (result.cycles, simulator.state_digest())
         assert got == pinned, (engine, workload, scheme)
         timings.append((result.per_cu_cycles, result.instructions))

@@ -1,10 +1,9 @@
-"""Dirty-writeback accounting across every engine x substrate combo.
+"""Dirty-writeback accounting on every engine.
 
-The write-back L2's dirty-eviction memory traffic was historically
-asserted only against the object substrate; these directed tests pin
-the full accounting — stats, ``memory_reads`` and ``memory_writes`` —
-for every engine tier on both substrates, including the fallback the
-batched tier must take for the write-back protocol.
+These directed tests pin the write-back L2's full accounting — stats,
+``memory_reads`` and ``memory_writes`` — for every engine tier,
+including the fallback the batched tier must take for the write-back
+protocol.
 """
 
 import numpy as np
@@ -15,8 +14,6 @@ from repro.cache.hooks import UnprotectedScheme
 from repro.gpu.config import GpuConfig
 from repro.gpu.engine import ENGINES, GpuSimulator
 from repro.traces.base import CuStream, Trace
-
-SUBSTRATES = ("object", "soa")
 
 
 def small_config() -> GpuConfig:
@@ -41,36 +38,33 @@ def make_trace(addrs_per_cu, stores) -> Trace:
     return Trace("directed-wb", streams)
 
 
-def writeback_sim(config, engine, substrate) -> GpuSimulator:
+def writeback_sim(config, engine) -> GpuSimulator:
     scheme = UnprotectedScheme()
-    sim = GpuSimulator(config, scheme, engine=engine, substrate=substrate)
-    sim.l2 = WriteBackCache(
-        config.l2, scheme, config.l2_latencies, substrate=sim.substrate
-    )
+    sim = GpuSimulator(config, scheme, engine=engine)
+    sim.l2 = WriteBackCache(config.l2, scheme, config.l2_latencies)
     return sim
 
 
-def run_all_combos(trace, config=None):
+def run_all_engines(trace, config=None):
     config = config or small_config()
     results = {}
     for engine in ENGINES:
-        for substrate in SUBSTRATES:
-            sim = writeback_sim(config, engine, substrate)
-            r = sim.run(trace)
-            results[(engine, substrate)] = (
-                r.cycles,
-                r.per_cu_cycles,
-                r.l2_stats.as_dict(),
-                sim.l2.memory_reads,
-                sim.l2.memory_writes,
-            )
+        sim = writeback_sim(config, engine)
+        r = sim.run(trace)
+        results[engine] = (
+            r.cycles,
+            r.per_cu_cycles,
+            r.l2_stats.as_dict(),
+            sim.l2.memory_reads,
+            sim.l2.memory_writes,
+        )
     return results
 
 
 def assert_identical(results):
-    reference = results[("scalar", "object")]
-    for combo, got in results.items():
-        assert got == reference, combo
+    reference = results["scalar"]
+    for engine, got in results.items():
+        assert got == reference, engine
     return reference
 
 
@@ -84,7 +78,7 @@ class TestDirtyWritebacks:
         addrs = [i * stride for i in range(2 * assoc)]
         stores = [True] * assoc + [False] * assoc
         trace = make_trace([addrs, [], []], [stores, [], []])
-        ref = assert_identical(run_all_combos(trace, config))
+        ref = assert_identical(run_all_engines(trace, config))
         cycles, _, stats, memory_reads, memory_writes = ref
         assert stats["evictions"] == assoc
         assert memory_writes == assoc  # one write-back per dirty line
@@ -97,7 +91,7 @@ class TestDirtyWritebacks:
         assoc = config.l2.associativity
         addrs = [i * stride for i in range(2 * assoc)]
         trace = make_trace([addrs, [], []], [[False] * len(addrs), [], []])
-        ref = assert_identical(run_all_combos(trace, config))
+        ref = assert_identical(run_all_engines(trace, config))
         _, _, stats, _, memory_writes = ref
         assert stats["evictions"] == assoc
         assert memory_writes == 0
@@ -116,7 +110,7 @@ class TestDirtyWritebacks:
                 addrs.append((lines * 64).tolist())
                 stores.append((rng.random(n) < 0.5).tolist())
             trace = make_trace(addrs, stores)
-            ref = assert_identical(run_all_combos(trace, config))
+            ref = assert_identical(run_all_engines(trace, config))
             memory_writes = ref[4]
             assert memory_writes > 0  # dirty evictions occurred
 
@@ -125,7 +119,7 @@ class TestDirtyWritebacks:
         # Repeated stores to one resident line: allocate once, then
         # in-place dirty hits only.
         trace = make_trace([[0] * 10, [], []], [[True] * 10, [], []])
-        ref = assert_identical(run_all_combos(trace, config))
+        ref = assert_identical(run_all_engines(trace, config))
         _, _, stats, memory_reads, memory_writes = ref
         assert stats["write_hits"] == 9
         assert memory_reads == 1

@@ -79,12 +79,12 @@ class KilliMachine(RuleBasedStateMachine):
     def ecc_entry_invariant(self):
         for set_index in range(GEO.n_sets):
             for way in range(GEO.associativity):
-                line = self.cache.tags.line(set_index, way)
+                valid = self.cache.tags.is_valid(set_index, way)
                 dfh = int(self.scheme.dfh[set_index * GEO.associativity + way])
                 if self.scheme.ecc.contains(set_index, way):
-                    assert line.valid
+                    assert valid
                     assert dfh in (int(Dfh.INITIAL), int(Dfh.STABLE_1))
-                elif line.valid:
+                elif valid:
                     assert dfh != int(Dfh.DISABLED)
                     if dfh in (int(Dfh.INITIAL), int(Dfh.STABLE_1)):
                         raise AssertionError(
@@ -96,35 +96,23 @@ class KilliMachine(RuleBasedStateMachine):
     def disabled_consistency(self):
         for set_index in range(GEO.n_sets):
             for way in range(GEO.associativity):
-                line = self.cache.tags.line(set_index, way)
+                disabled = self.cache.tags.is_disabled(set_index, way)
                 dfh = int(self.scheme.dfh[set_index * GEO.associativity + way])
-                if line.disabled:
+                if disabled:
                     assert dfh == int(Dfh.DISABLED)
                 if dfh == int(Dfh.DISABLED):
-                    assert line.disabled
+                    assert disabled
 
     @invariant()
     def tag_index_consistency(self):
         tags = self.cache.tags
-        if hasattr(tags, "_tag_index"):  # object substrate: per-set dicts
-            for set_index in range(GEO.n_sets):
-                index = tags._tag_index[set_index]
-                valid = {
-                    line.tag: way
-                    for way, line in enumerate(tags.ways_of_set(set_index))
-                    if line.valid
-                }
-                assert index == valid, set_index
-        else:  # soa substrate: one line-number -> way dict
-            valid = {}
-            for set_index in range(GEO.n_sets):
-                for way in range(GEO.associativity):
-                    if tags.is_valid(set_index, way):
-                        line_no = (
-                            tags.tag_at(set_index, way) * GEO.n_sets + set_index
-                        )
-                        valid[line_no] = way
-            assert tags._index == valid
+        valid = {}
+        for set_index in range(GEO.n_sets):
+            for way in range(GEO.associativity):
+                if tags.is_valid(set_index, way):
+                    line_no = tags.tag_at(set_index, way) * GEO.n_sets + set_index
+                    valid[line_no] = way
+        assert tags._index == valid
 
     @invariant()
     def lru_is_permutation(self):

@@ -70,14 +70,11 @@ class TestFingerprintStability:
         assert scenario.canonical_payload() == legacy_payload
         assert scenario.fingerprint() == legacy
 
-    def test_engine_and_substrate_do_not_change_the_fingerprint(self):
+    def test_engine_does_not_change_the_fingerprint(self):
         base = cell_scenario("fft", "baseline")
         for engine in ("batched", "scalar"):
-            for substrate in (None, "object", "soa"):
-                variant = base.replace(
-                    engine=EngineSection(engine=engine, substrate=substrate)
-                )
-                assert variant.fingerprint() == base.fingerprint()
+            variant = base.replace(engine=EngineSection(engine=engine))
+            assert variant.fingerprint() == base.fingerprint()
 
     def test_non_default_gpu_changes_the_fingerprint(self):
         base = cell_scenario("fft", "baseline")
@@ -121,6 +118,11 @@ class TestSchema:
     def test_removed_engine_rejected(self):
         with pytest.raises(KeyError, match="unknown engine 'vectorized'"):
             cell_scenario("fft", "baseline", engine="vectorized").validate()
+
+    def test_removed_substrate_key_rejected(self):
+        text = '[workload]\nname = "fft"\n\n[engine]\nsubstrate = "soa"\n'
+        with pytest.raises(ValueError, match=r"unknown key.*'substrate'.*\[engine\]"):
+            ScenarioConfig.from_toml(text)
 
     def test_scheme_options_validated_against_factory(self):
         with pytest.raises(ValueError, match="only apply to Killi"):

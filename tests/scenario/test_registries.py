@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines import DectedScheme, FlairScheme, MsEccScheme
 from repro.cache.hooks import UnprotectedScheme
-from repro.cache.soa import SoaTagStore, resolve_substrate
 from repro.core import KilliScheme
 from repro.core.strong import KilliStrongScheme
 from repro.faults import FaultMap
@@ -13,7 +12,6 @@ from repro.harness.runner import make_scheme, scheme_names
 from repro.scenario.registries import (
     ENGINE_REGISTRY,
     SCHEME_REGISTRY,
-    SUBSTRATE_REGISTRY,
     WORKLOAD_REGISTRY,
     SchemeFactory,
 )
@@ -139,17 +137,6 @@ class TestOtherRegistries:
         assert ENGINE_REGISTRY.names() == ["scalar", "batched"]
         with pytest.raises(ValueError, match="unknown engine 'nope'"):
             GpuSimulator(engine="nope")
-
-    def test_substrates_registered_and_construct(self):
-        assert SUBSTRATE_REGISTRY.names() == ["object", "soa"]
-        geometry = GpuConfig().l1_geometry()
-        spec = SUBSTRATE_REGISTRY.resolve("soa")
-        assert isinstance(spec.tag_store(geometry), SoaTagStore)
-        obj = SUBSTRATE_REGISTRY.resolve("object")
-        tags = obj.tag_store(geometry)
-        assert tags.geometry is geometry
-        with pytest.raises(ValueError, match="unknown substrate"):
-            resolve_substrate("nope")
 
 
 class TestRegistryMechanics:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.scenario.config import GpuSection, cell_scenario
 from repro.testing.differential import (
-    COMBOS,
+    ENGINES,
     PLANTS,
     REFERENCE,
     diff_scenario,
@@ -28,14 +28,14 @@ def small_scenario(scheme="killi_1:8", **kw):
 class TestRunScenario:
     def test_deterministic(self):
         sc = small_scenario()
-        a = run_scenario(sc, "scalar", "object")
-        b = run_scenario(sc, "scalar", "object")
+        a = run_scenario(sc, "scalar")
+        b = run_scenario(sc, "scalar")
         assert a.digest == b.digest
         assert a.cycles == b.cycles
         assert a.per_cu_cycles == b.per_cu_cycles
 
     def test_snapshot_carries_observables(self):
-        obs = run_scenario(small_scenario(), "batched", "soa")
+        obs = run_scenario(small_scenario(), "batched")
         snap = obs.snapshot
         assert snap["cycles"] == obs.cycles
         assert snap["l2"]["stats"]["reads"] > 0
@@ -45,7 +45,7 @@ class TestRunScenario:
 
     def test_sets_last_context(self):
         sc = small_scenario()
-        run_scenario(sc, "scalar", "object")
+        run_scenario(sc, "scalar")
         ctx = last_context()
         assert ctx is not None
         assert ctx["fingerprint"] == sc.fingerprint()
@@ -54,13 +54,9 @@ class TestRunScenario:
 
 
 class TestDiffScenario:
-    def test_combos_cover_product(self):
-        assert set(COMBOS) == {
-            (engine, substrate)
-            for engine in ("scalar", "batched")
-            for substrate in ("object", "soa")
-        }
-        assert REFERENCE in COMBOS
+    def test_engines_cover_both_inner_loops(self):
+        assert ENGINES == ("scalar", "batched")
+        assert REFERENCE == "scalar"
 
     @pytest.mark.parametrize("scheme", ["baseline", "killi_1:8", "msecc"])
     def test_equivalence_holds(self, scheme):
@@ -80,7 +76,7 @@ class TestDiffScenario:
         divergence = diff_scenario(scenario, plant=PLANTS[plant])
         assert divergence is not None
         text = divergence.describe()
-        assert "diverges from scalar×object" in text
+        assert "diverges from scalar on scenario" in text
 
     def test_crash_is_a_divergence(self):
         def bomb(simulator):

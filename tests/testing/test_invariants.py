@@ -12,8 +12,8 @@ from repro.testing.invariants import (
 )
 
 
-def exercised_cache(small_geometry, substrate=None) -> CacheModel:
-    cache = CacheModel(small_geometry, substrate=substrate)
+def exercised_cache(small_geometry) -> CacheModel:
+    cache = CacheModel(small_geometry)
     for i in range(200):
         cache.read(i * 64 * 7)
         if i % 3 == 0:
@@ -41,39 +41,35 @@ class TestEnvFlag:
 
 
 class TestChecksPass:
-    @pytest.mark.parametrize("substrate", ["object", "soa"])
-    def test_exercised_cache_is_clean(self, small_geometry, substrate):
-        cache = exercised_cache(small_geometry, substrate)
-        check_cache_invariants(cache)
+    def test_exercised_cache_is_clean(self, small_geometry):
+        check_cache_invariants(exercised_cache(small_geometry))
 
-    @pytest.mark.parametrize("substrate", ["object", "soa"])
-    def test_fresh_cache_is_clean(self, small_geometry, substrate):
-        check_cache_invariants(CacheModel(small_geometry, substrate=substrate))
+    def test_fresh_cache_is_clean(self, small_geometry):
+        check_cache_invariants(CacheModel(small_geometry))
 
 
 class TestChecksCatchCorruption:
     def test_lru_permutation(self, small_geometry):
-        cache = exercised_cache(small_geometry, "object")
-        assert hasattr(cache.lru, "_order")
-        order = cache.lru._order[0]
-        order[0] = order[1]  # duplicate way: not a permutation
+        cache = exercised_cache(small_geometry)
+        age = cache.lru.age
+        age[0] = age[1]  # two ways of set 0 tie: no strict recency order
         with pytest.raises(InvariantError):
             check_set_invariants(cache, 0)
 
     def test_valid_counter_drift(self, small_geometry):
-        cache = exercised_cache(small_geometry, "object")
+        cache = exercised_cache(small_geometry)
         cache.tags.valid_in_set[0] += 1
         with pytest.raises(InvariantError):
             check_set_invariants(cache, 0)
 
     def test_soa_verify_catches_count_drift(self, small_geometry):
-        cache = exercised_cache(small_geometry, "soa")
+        cache = exercised_cache(small_geometry)
         cache.tags._n_valid += 1
         with pytest.raises(InvariantError):
             check_cache_invariants(cache)
 
     def test_soa_verify_catches_tag_aliasing(self, small_geometry):
-        cache = exercised_cache(small_geometry, "soa")
+        cache = exercised_cache(small_geometry)
         # Point an occupied slot's tag at a different line without
         # updating the lookup index.
         way = cache.tags.lookup(0)
@@ -93,7 +89,7 @@ class TestArming:
 
     def test_armed_read_checks(self, monkeypatch, small_geometry):
         monkeypatch.setenv(INVARIANTS_ENV, "1")
-        cache = CacheModel(small_geometry, substrate="object")
+        cache = CacheModel(small_geometry)
         cache.read(0)  # clean: passes
         # Drift a counter the hit path never consults — only the
         # armed post-access check can notice.
@@ -102,8 +98,8 @@ class TestArming:
             cache.read(0)
 
     def test_armed_full_run_is_clean(self, monkeypatch):
-        # The whole simulator stack — batched Killi interpreter, SoA
-        # substrate, L1 filter — under armed invariants, pinned against
+        # The whole simulator stack — batched Killi interpreter, tag
+        # store, L1 filter — under armed invariants, pinned against
         # the scalar reference.
         monkeypatch.setenv(INVARIANTS_ENV, "1")
         from repro.scenario.config import GpuSection, cell_scenario
