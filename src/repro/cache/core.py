@@ -16,8 +16,7 @@ hit latency for the failed attempt plus a full miss.
 
 The tag store and LRU state live on flat arrays
 (:mod:`repro.cache.soa`).  Read hits additionally go through an epoch
-cache: once the scheme declares a
-line's hit behaviour stable
+cache: once the scheme declares a line's hit behaviour stable
 (:meth:`~repro.cache.hooks.ProtectionScheme.hit_replay_info`), the
 outcome is memoized per (set, way) and replayed without scheme
 dispatch until a cache-visible event clears the line's stamp or a

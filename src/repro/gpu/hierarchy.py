@@ -6,8 +6,8 @@ L1 is the write-through / no-write-allocate / plain-LRU-fill preset
 of the unified :class:`~repro.cache.core.CacheModel`, serving as a
 fast filter in front of the L2.
 
-Because an L1 is private, unprotected and deterministic, its entire access stream
-can also be simulated in one batched pass — see
+Because an L1 is private, unprotected and deterministic, its entire
+access stream can also be simulated in one batched pass — see
 :mod:`repro.gpu.l1filter`, which exports the state via
 :meth:`SimpleL1.export_filter_state`, runs the pass, and writes the
 state back.
@@ -50,16 +50,20 @@ class SimpleL1(CacheModel):
 
     # -- batched-filter state interchange ----------------------------------
     #
-    # Canonical form: per-slot line numbers
-    # (``-1`` = invalid) and per-slot integer ages (distinct within a
-    # set; larger = more recent), both flat lists indexed by
-    # ``set * associativity + way``, plus the per-set age clocks and
-    # the line-number -> way dict.
+    # Canonical form: per-slot line numbers (``-1`` = invalid) and
+    # per-slot integer ages (distinct within a set; larger = more
+    # recent), both flat lists indexed by ``set * associativity + way``,
+    # plus the per-set age clocks and the line-number -> way dict.
 
     def export_filter_state(self):
         """State tuple ``(index, slot_line, age, clock)`` for the filter."""
         tags, lru = self.tags, self.lru
-        return dict(tags._index), list(tags._line_at), list(lru.age), list(lru._clock)
+        return (
+            dict(tags._index),
+            list(tags._line_at),
+            list(lru.age),
+            list(lru._clock),
+        )
 
     def import_filter_state(self, state) -> None:
         """Write a filter state tuple back into the tag store and LRU."""

@@ -11,8 +11,8 @@ the stream.
 The pass works on the canonical filter state exported by
 :meth:`repro.gpu.hierarchy.SimpleL1.export_filter_state` (per-slot
 line numbers and distinct integer ages) and is bit-identical to the
-per-access path: same LRU victim (unique
-minimum age), same hit/miss stream, same ``CacheStats`` counters.
+per-access path: same LRU victim (unique minimum age), same hit/miss
+stream, same ``CacheStats`` counters.
 
 The pass is a pure function of (initial L1 state, stream).  Campaign
 cells share streams (trace memoization) but always start from a

@@ -177,8 +177,6 @@ def _section_to_dict(section_obj) -> dict:
     out = {}
     for f in fields(section_obj):
         value = getattr(section_obj, f.name)
-        if value is None:
-            continue
         if f.name == "config":
             value = dict(value)
         out[f.name] = value
