@@ -1,8 +1,8 @@
 """Engine equivalence: scalar vs batched.
 
 The acceptance contract for the fast path: for every workload and
-scheme, both inner loops produce bit-identical
-cycles, per-CU cycles and every CacheStats counter (L2 and all L1s).
+scheme, both inner loops produce bit-identical cycles, per-CU cycles
+and every CacheStats counter (L2 and all L1s).
 Pinned here on a workload x scheme matrix, a seeded randomized fuzz
 sweep, and directed edge cases (ragged streams, bank conflicts, empty
 traces, disabled ways, guard aborts, 100%-fallback schemes,
