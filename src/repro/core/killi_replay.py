@@ -38,7 +38,7 @@ cluster right after it.
 Commit equivalences (vs the per-access reference path)
 ------------------------------------------------------
 - *LRU*: touched ways are replayed through ``lru.touch`` in final
-  recency order — same convention as ``apply_set_replay``; absolute
+  recency order — same convention as ``apply_set_replays``; absolute
   clock values differ but the per-set age *order*, which is all the
   replacement policy reads, is identical.  ``demote`` calls are
   skipped: a demoted way is invalid, and ages of invalid ways are
@@ -1097,7 +1097,7 @@ class KilliClusterInterpreter:
             touched = st.touched
             if touched:
                 # Final recency order; same convention as
-                # apply_set_replay (ages differ in value, not order).
+                # apply_set_replays (ages differ in value, not order).
                 for line, way in st.resident.items():
                     if way in touched:
                         lru.touch(set_index, way)
