@@ -23,36 +23,41 @@ Why commits are exact
 ---------------------
 Every event in the model is deterministic except one: a write hit on a
 slot with active LV faults re-rolls fault masking with the *shared*
-RNG stream (:meth:`~repro.core.linestate.LineErrorModel.on_write_hit`).
-The interpreter therefore simulates with pure predictions only — fills
-use the deterministic masking coins
-(:meth:`~repro.core.linestate.LineErrorModel.predicted_fill_row`) —
-and *aborts* when it reaches a shared-RNG write hit, before touching
-anything for that access.  Because the simulated prefix is exact, it
-is committed rather than discarded; the engine then runs the aborting
-access through the real per-access path (consuming the RNG draw at the
-correct point of the global order — see the abort min-heap in
-:meth:`~repro.gpu.engine.GpuSimulator._run_batched`) and resumes the
-cluster right after it.
+RNG stream (:meth:`~repro.core.linestate.LineErrorModel.rerolled_row`).
+Fills use the deterministic masking coins
+(:meth:`~repro.core.linestate.LineErrorModel.predicted_fill_row`), so
+the interpreter simulates everything else with pure predictions.  At a
+shared-RNG write hit it *pauses*: the cluster's open transaction is
+parked, untouched by that access, and :meth:`run` returns the access's
+offset.  The engine keeps a min-heap over the *global* positions of
+the paused accesses (see
+:meth:`~repro.gpu.engine.GpuSimulator._run_batched`) and resumes each
+cluster at its turn; the resumed run performs the write hit in the
+shadow — the same ``rng.random(n_active)`` draw the per-access path
+makes — and carries on.  Nothing else draws RNG, clusters are
+state-disjoint, and no per-access L2 call runs while transactions are
+open, so the heap order is the scalar engine's RNG order.  Each
+cluster commits exactly once, when its subsequence is consumed.
 
 Commit equivalences (vs the per-access reference path)
 ------------------------------------------------------
-- *LRU*: touched ways are replayed through ``lru.touch`` in final
-  recency order — same convention as ``apply_set_replays``; absolute
-  clock values differ but the per-set age *order*, which is all the
-  replacement policy reads, is identical.  ``demote`` calls are
-  skipped: a demoted way is invalid, and ages of invalid ways are
-  never consulted until a refill touches them.
+- *LRU*: every resident way is stamped in final recency order through
+  :func:`~repro.cache.soa.bulk_apply_set_replays`, with the cluster's
+  fills; absolute clock values differ but the age *order* of the valid
+  ways, which is all the replacement policy reads, is identical.
+  ``demote`` calls are skipped: a demoted way is invalid, and ages of
+  invalid ways are never consulted until a refill touches them.
 - *Hit memo*: instead of replaying per-set epoch bumps, every
   materialized set's hit stamps are cleared.  Re-memoization on the
   next hit reproduces the memoized replay bit-exactly (hit outcomes
   are deterministic), so this only costs one extra dispatch per line.
 - *Error rows*: per-slot fill/overwrite effects collapse to the last
-  event per slot; the commit replays it through the real
-  ``on_fill``/``clear``, reproducing exactly the row the per-access
-  sequence would have left (fills are salt-keyed and idempotent).
-  Slots whose events are no-ops (no active faults, clean row) are not
-  tracked at all.
+  event per slot.  A fill installs the row the interpreter already
+  predicted for its ``(slot, salt)`` (or replays ``on_fill``), a clear
+  replays ``clear`` and a write hit stores its re-rolled row — each
+  exactly the row, weight and signal-cache state the per-access
+  sequence would have left.  Slots whose events are no-ops (no active
+  faults, clean row) are not tracked at all.
 """
 
 from __future__ import annotations
@@ -61,9 +66,10 @@ from bisect import insort
 
 import numpy as np
 
-from repro.cache.soa import export_set_state
+from repro.cache.soa import bulk_apply_set_replays, export_set_state
 from repro.core.dfh import Dfh, DfhAction, classify_cached
 from repro.core.linestate import Signals
+from repro.metrics import METRICS
 from repro.testing.invariants import (
     InvariantError,
     check_set_invariants,
@@ -86,8 +92,37 @@ _PRIO_MAX = 2
 
 _CLEAN_SIG = Signals(0, True, True)
 
-#: Marker distinguishing "memoized as empty" from "not memoized".
-_EMPTY = object()
+#: Shadow row events per slot (``_Txn.slot_state``); a value >= 0 is
+#: the salt of a predicted fill.
+_CLEARED = -1
+_ROLLED = -2  # write-hit re-roll
+
+#: Per-transaction stat deltas, named after their ``_Txn`` slots.
+_COUNTERS = (
+    "reads",
+    "read_hits",
+    "read_misses",
+    "writes",
+    "write_hits",
+    "write_misses",
+    "evictions",
+    "fills",
+    "bypasses",
+    "error_misses",
+    "corrected",
+    "invalidations",
+    "ecc_evict_inval",
+    "mem_reads",
+    "mem_writes",
+    "hits_served",
+    "sdc",
+    "ecc_acc",
+    "ecc_alloc",
+    "ecc_evict",
+    "ecc_corrections",
+    "reclass_clean",
+    "evict_disables",
+)
 
 
 class _SetShadow:
@@ -96,11 +131,8 @@ class _SetShadow:
     __slots__ = (
         "resident",
         "way_lines",
-        "orig",
         "free",
         "disabled",
-        "new_disabled",
-        "touched",
         "dfh",
         "off_d",
         "uns_d",
@@ -110,16 +142,54 @@ class _SetShadow:
     )
 
 
+class _Txn:
+    """One cluster's open transaction: shadow state plus stat deltas.
+
+    Lives from the cluster's first :meth:`KilliClusterInterpreter.run`
+    to its commit, parked across every pause in between.
+    ``slot_state`` maps a slot to its last row event (a fill salt,
+    ``_CLEARED`` or ``_ROLLED``); ``rows`` caches, per slot, the row
+    and signals of the event they were last derived for
+    (:meth:`KilliClusterInterpreter._shadow`).  One record per slot at
+    most — a new event replaces it — all freed with the transaction.
+    """
+
+    __slots__ = (
+        "cluster",
+        "sets",
+        "dfh_over",
+        "trans",
+        "slot_state",
+        "rows",
+        "ecc_entries",
+    ) + _COUNTERS
+
+    def __init__(self, cluster: int, ecc_entries: list):
+        self.cluster = cluster
+        self.sets: dict = {}
+        self.dfh_over: dict = {}
+        self.trans = [0] * 16  # flat (old << 2 | new) transition counts
+        self.slot_state: dict = {}
+        self.rows: dict = {}
+        # Shadow ECC keys as flat slot ints (set * assoc + way): the
+        # hot paths already have the slot in hand, so membership tests
+        # are int compares with no tuple allocation.
+        self.ecc_entries = ecc_entries
+        for name in _COUNTERS:
+            setattr(self, name, 0)
+
+
 class KilliClusterInterpreter:
-    """Shadow interpreter over one ECC-contention cluster at a time.
+    """Shadow interpreter over the ECC-contention clusters of a kernel.
 
     Created once per (scheme, cache) pair via
     :meth:`~repro.core.killi.KilliScheme.batch_interpreter`; the engine
-    calls :meth:`run` per cluster (and per resume after an abort).
-    Each ``run`` is one transaction: simulate from ``start``, commit
-    the exact net effect, and return either None (subsequence fully
-    consumed) or the offset of the first access that needs the real
-    per-access path (a shared-RNG write hit).
+    calls :meth:`run` per cluster and again per resume.  A cluster's
+    first ``run`` opens its transaction; every ``run`` simulates from
+    ``start`` and returns either the offset of a shared-RNG write hit
+    (the transaction is parked, and the engine resumes it at that
+    access's turn in the global order) or None, after committing the
+    cluster's whole net effect once.
     """
 
     def __init__(self, scheme, cache):
@@ -133,7 +203,6 @@ class KilliClusterInterpreter:
         geometry = cache.geometry
         self._assoc = geometry.associativity
         self._n_sets = geometry.n_sets
-        self._line_bytes = geometry.line_bytes
         self._dfh_mv = scheme.dfh
         config = scheme.config
         self._iwt = config.inverted_write_training
@@ -145,28 +214,16 @@ class KilliClusterInterpreter:
         self._lat_hit_corrected = cache._lat_hit_corrected
         self._lat_miss = cache._lat_miss
         self._lat_tag = cache._lat_tag
-        # Memos pure in (slot, salt[, segments, use_ecc]) at a fixed
-        # voltage: predicted fill rows and their signal signatures.
-        self._row_memo: dict = {}
-        self._sig_memo: dict = {}
-        self._memo_voltage = None
         self._act_off = None
         # Per-slot purity bitmap: pure[slot] == 1 iff the slot is
         # STABLE_0 with an empty real error vector, so a read hit on it
         # is a pure LRU touch (serve clean, no classification, no
         # transition).  Kept in sync across kernels: commits refresh
-        # exactly the slots whose DFH or error rows they changed,
-        # engine-fallback write hits are re-checked via _stale_slots,
-        # and external error injections drop the whole map through the
+        # exactly the slots whose DFH or error rows they changed, and
+        # external error injections drop the whole map through the
         # chained mutation hook.  Within a transaction the bitmap is
         # only trusted for slots with no shadow row events.
         self._pure = None
-        # cluster -> slot whose RNG-abort write the engine replays
-        # through the real per-access path before resuming the cluster.
-        # The refresh must wait for that resume: other clusters' _begin
-        # calls interleave between the abort and the replay, so a global
-        # stale set would be drained while the real row is still clean.
-        self._stale_slots: dict = {}
         prev_hook = self._errors.external_mutation_hook
 
         def _on_external_mutation(*args):
@@ -175,28 +232,29 @@ class KilliClusterInterpreter:
                 prev_hook(*args)
 
         self._errors.external_mutation_hook = _on_external_mutation
-        # Armed invariants (REPRO_CHECK_INVARIANTS): each transaction
-        # snapshots the shared RNG stream position at _begin and
-        # asserts at _commit that the simulation window drew nothing
-        # (RNG-draw-count conservation between the batched and scalar
-        # paths), then re-checks every committed set's structure.
+        # Armed invariants (REPRO_CHECK_INVARIANTS): the shared RNG
+        # stream position is marked at the start of every segment —
+        # run entry, and right after each scheduled write-hit draw —
+        # and asserted unchanged at the segment's end (the next
+        # scheduled draw, a pause or the commit): every segment between
+        # scheduled write hits draws nothing (RNG-draw-count
+        # conservation between the batched and scalar paths).  Commits
+        # then re-check every committed set's structure.
         self._check_invariants = invariants_enabled()
         self._rng_mark = None
-        self._cluster = -1
-        self._begin(-1)
+        self._tx = None
+        self._parked: dict = {}  # cluster -> paused _Txn
 
     # -- lifecycle ---------------------------------------------------------
 
     def begin_kernel(self) -> None:
-        """Revalidate the voltage-keyed memos before a kernel runs."""
+        """Revalidate the voltage-keyed state before a kernel runs."""
         errors = self._errors
         offsets = errors._act_offsets
         if offsets is None:
             offsets = errors._ensure_active()
-        if errors.voltage != self._memo_voltage or offsets is not self._act_off:
-            self._row_memo.clear()
-            self._sig_memo.clear()
-            self._memo_voltage = errors.voltage
+        if offsets is not self._act_off:
+            # A voltage change rebuilds the active-fault CSR.
             self._act_off = offsets
             self._pure = None
         if self._pure is None:
@@ -208,58 +266,19 @@ class KilliClusterInterpreter:
                 .astype(np.uint8)
                 .tolist()
             )
-            self._stale_slots.clear()
 
-    def _begin(self, cluster: int) -> None:
-        slot = self._stale_slots.pop(cluster, None)
-        if slot is not None:
-            # This cluster's aborted write hit has now been replayed by
-            # the engine through the real per-access path (it always is
-            # before the cluster resumes); re-derive the slot's purity.
-            self._pure[slot] = (
-                1
-                if self._dfh_mv[slot] == _S0 and not self._errors.is_dirty(slot)
-                else 0
+    def _rng_state(self) -> str:
+        return repr(self._errors.rng.bit_generator.state)
+
+    def _check_rng_window(self) -> None:
+        """Armed check: the current segment drew no shared RNG."""
+        if self._rng_state() != self._rng_mark:
+            raise InvariantError(
+                "[REPRO_CHECK_INVARIANTS] batched cluster simulation "
+                f"drew shared RNG (cluster {self._tx.cluster}): only the "
+                "scheduled write-hit re-rolls may consume the stream "
+                "between a cluster's pauses"
             )
-        self._cluster = cluster
-        self._sets: dict = {}
-        self._dfh_over: dict = {}
-        self._trans = [0] * 16  # flat (old << 2 | new) transition counts
-        self._slot_state: dict = {}
-        # Shadow ECC keys as flat slot ints (set * assoc + way): the
-        # hot paths already have the slot in hand, so membership tests
-        # are int compares with no tuple allocation.
-        assoc = self._assoc
-        self._ecc_entries: list = (
-            [key_set * assoc + key_way for key_set, key_way in self._ecc._sets[cluster]]
-            if cluster >= 0
-            else []
-        )
-        self._d_ecc_acc = 0
-        self._d_ecc_alloc = 0
-        self._d_ecc_evict = 0
-        self._d_reads = 0
-        self._d_read_hits = 0
-        self._d_read_misses = 0
-        self._d_writes = 0
-        self._d_write_hits = 0
-        self._d_write_misses = 0
-        self._d_evictions = 0
-        self._d_fills = 0
-        self._d_bypasses = 0
-        self._d_error_misses = 0
-        self._d_corrected = 0
-        self._d_invalidations = 0
-        self._d_ecc_evict_inval = 0
-        self._d_mem_reads = 0
-        self._d_mem_writes = 0
-        self._d_hits_served = 0
-        self._d_sdc = 0
-        self._d_ecc_corrections = 0
-        self._d_reclass_clean = 0
-        self._d_evict_disables = 0
-        if self._check_invariants and cluster >= 0:
-            self._rng_mark = repr(self._errors.rng.bit_generator.state)
 
     # -- shadow state ------------------------------------------------------
 
@@ -269,10 +288,12 @@ class KilliClusterInterpreter:
             tags, self._cache.lru, set_index
         )
         st = _SetShadow()
-        st.way_lines = list(way_lines)
-        st.orig = list(way_lines)
+        # export_set_state hands out fresh lists; the real way_lines
+        # stay unchanged until this cluster commits, which diffs
+        # against them.
+        st.way_lines = way_lines
         st.resident = dict(seed)
-        st.free = list(free_ways)
+        st.free = free_ways
         if tags.disabled_in_set[set_index]:
             st.disabled = {
                 way
@@ -281,8 +302,6 @@ class KilliClusterInterpreter:
             }
         else:
             st.disabled = set()
-        st.new_disabled = set()
-        st.touched = set()
         # Per-way DFH values as a plain list: the overlay dict never
         # holds a slot before its set materializes (every write goes
         # through _set_dfh, which needs the shadow), so the real array
@@ -293,7 +312,7 @@ class KilliClusterInterpreter:
         st.uns_d = 0
         st.dis_d = 0
         st.quiet, st.triv = self._probe_set(set_index)
-        self._sets[set_index] = st
+        self._tx.sets[set_index] = st
         return st
 
     def _probe_set(self, set_index: int):
@@ -323,14 +342,10 @@ class KilliClusterInterpreter:
         )
         if not quiet or self._scheme._unstable_in_set[set_index]:
             return quiet, False
-        for key in self._ecc_entries:
+        for key in self._tx.ecc_entries:
             if base <= key < stop:
                 return quiet, False
         return quiet, True
-
-    def _dfh_at(self, slot: int) -> int:
-        value = self._dfh_over.get(slot)
-        return self._dfh_mv[slot] if value is None else value
 
     def _set_dfh(self, st: _SetShadow, slot: int, old: int, new: int) -> None:
         if old == new:
@@ -338,7 +353,7 @@ class KilliClusterInterpreter:
         # Conservative: any transition drops purity; the commit fixup
         # (and the fast-clean hit path) restore it exactly.
         self._pure[slot] = 0
-        self._dfh_over[slot] = new
+        self._tx.dfh_over[slot] = new
         st.dfh[slot % self._assoc] = new
         if old == _INI:
             st.off_d += 1
@@ -350,7 +365,7 @@ class KilliClusterInterpreter:
             st.dis_d -= 1
         elif new == _DIS:
             st.dis_d += 1
-        self._trans[(old << 2) | new] += 1
+        self._tx.trans[(old << 2) | new] += 1
         if new == _S0 and st.quiet and not st.triv:
             # A quiet set whose last unstable way just stabilised (and
             # that holds no ECC entry) is pure dict-LRU from here on.
@@ -359,7 +374,7 @@ class KilliClusterInterpreter:
             if self._scheme._unstable_in_set[set_index] + st.uns_d == 0:
                 base = set_index * assoc
                 stop = base + assoc
-                for key in self._ecc_entries:
+                for key in self._tx.ecc_entries:
                     if base <= key < stop:
                         break
                 else:
@@ -368,33 +383,33 @@ class KilliClusterInterpreter:
     # -- shadow ECC cache --------------------------------------------------
 
     def _ecc_contains(self, set_index: int, way: int) -> bool:
-        return set_index * self._assoc + way in self._ecc_entries
+        return set_index * self._assoc + way in self._tx.ecc_entries
 
     def _ecc_touch(self, set_index: int, way: int) -> None:
-        self._d_ecc_acc += 1
-        entries = self._ecc_entries
+        self._tx.ecc_acc += 1
+        entries = self._tx.ecc_entries
         key = set_index * self._assoc + way
         entries.remove(key)
         entries.insert(0, key)
 
     def _ecc_insert(self, set_index: int, way: int):
         """Insert; returns the evicted slot key or None."""
-        self._d_ecc_acc += 1
-        entries = self._ecc_entries
+        self._tx.ecc_acc += 1
+        entries = self._tx.ecc_entries
         key = set_index * self._assoc + way
         if key in entries:
             raise ValueError(f"ECC entry for slot {key} already present")
-        self._d_ecc_alloc += 1
+        self._tx.ecc_alloc += 1
         evicted = None
         if len(entries) >= self._ecc_assoc:
             evicted = entries.pop()
-            self._d_ecc_evict += 1
+            self._tx.ecc_evict += 1
         entries.insert(0, key)
         return evicted
 
     def _ecc_remove(self, set_index: int, way: int) -> None:
         key = set_index * self._assoc + way
-        entries = self._ecc_entries
+        entries = self._tx.ecc_entries
         if key in entries:
             entries.remove(key)
 
@@ -406,32 +421,71 @@ class KilliClusterInterpreter:
 
     def _track_fill(self, slot: int, salt: int) -> None:
         """Shadow ``errors.on_fill``; untracked no-op fills stay no-ops."""
-        state = self._slot_state
+        state = self._tx.slot_state
         if self._has_active(slot):
             state[slot] = salt
         elif slot in state or self._errors.is_dirty(slot):
-            state[slot] = -1
+            state[slot] = _CLEARED
 
     def _track_clear(self, slot: int) -> None:
-        state = self._slot_state
+        state = self._tx.slot_state
         if slot in state or self._errors.is_dirty(slot):
-            state[slot] = -1
+            state[slot] = _CLEARED
 
-    def _row_of(self, slot: int, salt: int):
-        """Predicted packed row of a shadow-FILLED slot (None = clean)."""
-        key = (slot, salt)
-        row = self._row_memo.get(key, _EMPTY)
-        if row is _EMPTY:
-            row = self._errors.predicted_fill_row(slot, salt)
-            self._row_memo[key] = row
-        return row
+    def _shadow(self, slot: int, event: int) -> list:
+        """Record ``[event, row, sig S0, sig INITIAL, sig STABLE_1]`` of
+        a tracked slot's last shadow event.
+
+        ``row`` is the packed row the event leaves (None = clean): the
+        deterministic fill prediction for a salt, None for a clear, the
+        re-rolled row for a write hit.  The signal slots memoize
+        :meth:`_signals` per DFH value.
+        """
+        rows = self._tx.rows
+        rec = rows.get(slot)
+        if rec is None or rec[0] != event:
+            row = (
+                self._errors.predicted_fill_row(slot, event)
+                if event >= 0
+                else None
+            )
+            rec = rows[slot] = [event, row, None, None, None]
+        return rec
+
+    def _row_of(self, slot: int, event: int):
+        """Shadow packed row of a tracked slot (None = clean)."""
+        if event == _CLEARED:
+            return None
+        return self._shadow(slot, event)[1]
+
+    def _reroll(self, slot: int) -> None:
+        """Write hit on a slot with active faults, in the shadow.
+
+        The one shared-RNG draw of the interpreter, made only when the
+        engine resumes the cluster at this access's global turn.  The
+        input is the shadow row: the real row when the slot is
+        untracked, else the row of its last shadow event.
+        """
+        check = self._check_invariants
+        if check:
+            self._check_rng_window()
+        errors = self._errors
+        tx = self._tx
+        event = tx.slot_state.get(slot)
+        if event is None:
+            base = errors._rows[slot]
+        else:
+            base = self._row_of(slot, event)
+        row = errors.rerolled_row(slot, base)
+        tx.slot_state[slot] = _ROLLED
+        tx.rows[slot] = [_ROLLED, row if row.any() else None, None, None, None]
+        if check:
+            self._rng_mark = self._rng_state()
 
     def _is_dirty(self, slot: int) -> bool:
-        salt = self._slot_state.get(slot)
+        salt = self._tx.slot_state.get(slot)
         if salt is None:
             return self._errors.is_dirty(slot)
-        if salt < 0:
-            return False
         return self._row_of(slot, salt) is not None
 
     def _fast_clean(self, slot: int, value: int) -> bool:
@@ -442,78 +496,64 @@ class KilliClusterInterpreter:
         return True
 
     def _has_observable(self, slot: int) -> bool:
-        salt = self._slot_state.get(slot)
+        salt = self._tx.slot_state.get(slot)
         if salt is None:
             return self._errors.has_observable_faults(slot)
-        if salt >= 0 and self._row_of(slot, salt) is not None:
+        if self._row_of(slot, salt) is not None:
             return True
         if not self._fault_map.has_faults(slot):
             return False
         return self._has_active(slot)
 
-    def _sig(self, slot: int, segments: int, use_ecc: bool) -> Signals:
-        salt = self._slot_state.get(slot)
+    def _signals(self, slot: int, value: int) -> Signals:
+        """Read signals of ``slot`` under DFH ``value``, from the shadow
+        row when the slot is tracked (memoized per DFH value in its
+        record: each value fixes the parity configuration)."""
+        obs = value == _INI and self._iwt
+        salt = self._tx.slot_state.get(slot)
         if salt is None:
-            return self._errors.signals(slot, segments, use_ecc)
-        if salt < 0:
+            errors = self._errors
+            if obs:
+                return errors.observable_signals(slot, self._train_segs)
+            if value == _INI:
+                return errors.signals(slot, self._train_segs, True)
+            return errors.signals(slot, self._stable_segs, value == _S1)
+        if salt == _CLEARED and not obs:
             return _CLEAN_SIG
-        row = self._row_of(slot, salt)
-        if row is None:
-            return _CLEAN_SIG
-        key = (slot, salt, segments, use_ecc)
-        sig = self._sig_memo.get(key)
+        rec = self._shadow(slot, salt)
+        sig = rec[2 + value]
         if sig is None:
-            sig = Signals(
-                *self._errors.kernel.signals_row(row, segments, use_ecc)
-            )
-            self._sig_memo[key] = sig
-        return sig
-
-    def _obs_signals(self, slot: int) -> Signals:
-        segments = self._train_segs
-        salt = self._slot_state.get(slot)
-        if salt is None:
-            return self._errors.observable_signals(slot, segments)
-        row = None if salt < 0 else self._row_of(slot, salt)
-        key = (slot, salt, segments, "obs")
-        sig = self._sig_memo.get(key)
-        if sig is None:
-            observed = self._errors.predicted_observable_row(slot, row)
-            if not observed.any():
+            row = rec[1]
+            kernel = self._errors.kernel
+            if obs:
+                row = self._errors.predicted_observable_row(slot, row)
+                if not row.any():
+                    row = None
+                segments, use_ecc = self._train_segs, True
+            elif value == _INI:
+                segments, use_ecc = self._train_segs, True
+            else:
+                segments, use_ecc = self._stable_segs, value == _S1
+            if row is None:
                 sig = _CLEAN_SIG
             else:
-                sig = Signals(
-                    *self._errors.kernel.signals_row(observed, segments, True)
-                )
-            self._sig_memo[key] = sig
+                sig = Signals(*kernel.signals_row(row, segments, use_ecc))
+            rec[2 + value] = sig
         return sig
 
-    def _signals(self, slot: int, value: int) -> Signals:
-        if value == _INI:
-            if self._iwt:
-                return self._obs_signals(slot)
-            return self._sig(slot, self._train_segs, True)
-        if value == _S1:
-            return self._sig(slot, self._stable_segs, True)
-        return self._sig(slot, self._stable_segs, False)
-
     def _correction_sound(self, slot: int) -> bool:
-        salt = self._slot_state.get(slot)
+        salt = self._tx.slot_state.get(slot)
         if salt is None:
             return self._errors.correction_is_sound(slot)
-        if salt < 0:
-            return True
         row = self._row_of(slot, salt)
         if row is None:
             return True
         return self._errors.row_correction_is_sound(row)
 
     def _has_data_errors(self, slot: int) -> bool:
-        salt = self._slot_state.get(slot)
+        salt = self._tx.slot_state.get(slot)
         if salt is None:
             return self._errors.has_data_errors(slot)
-        if salt < 0:
-            return False
         row = self._row_of(slot, salt)
         if row is None:
             return False
@@ -545,16 +585,16 @@ class KilliClusterInterpreter:
             self._ecc_remove(set_index, way)
             self._track_clear(slot)
             return 3 if nxt == _DIS else 2
-        self._d_hits_served += 1
+        self._tx.hits_served += 1
         if cls.action is DfhAction.CORRECT_AND_SEND:
             if not self._correction_sound(slot):
-                self._d_sdc += 1
-            self._d_ecc_corrections += 1
+                self._tx.sdc += 1
+            self._tx.ecc_corrections += 1
             if self._ecc_contains(set_index, way):
                 self._ecc_touch(set_index, way)
             return 1
         if self._has_data_errors(slot):
-            self._d_sdc += 1
+            self._tx.sdc += 1
         if (nxt == _INI or nxt == _S1) and self._ecc_contains(set_index, way):
             self._ecc_touch(set_index, way)
         return 0
@@ -567,13 +607,13 @@ class KilliClusterInterpreter:
         del st.resident[line]
         st.way_lines[way] = -1
         insort(st.free, way)
-        self._d_invalidations += 1
-        self._d_ecc_evict_inval += 1
+        self._tx.invalidations += 1
+        self._tx.ecc_evict_inval += 1
         self._ecc_remove(set_index, way)
         self._track_clear(set_index * self._assoc + way)
 
     def _handle_ecc_eviction(self, set_index: int, way: int) -> None:
-        st = self._sets.get(set_index)
+        st = self._tx.sets.get(set_index)
         if st is None:
             st = self._materialize(set_index)
         # An entry pointed at this set, so it was never trivial; keep
@@ -583,14 +623,14 @@ class KilliClusterInterpreter:
         value = st.dfh[way]
         if value == _S0:
             if self._has_data_errors(slot):
-                self._d_sdc += 1
+                self._tx.sdc += 1
             self._invalidate_line(st, set_index, way)
             return
         if value != _INI and value != _S1:
             raise AssertionError("ECC entry existed for an unprotected line")
         if self._fast_clean(slot, value):
             self._set_dfh(st, slot, value, _S0)
-            self._d_reclass_clean += 1
+            self._tx.reclass_clean += 1
             return
         sig = self._signals(slot, value)
         cls = classify_cached(
@@ -599,7 +639,7 @@ class KilliClusterInterpreter:
         nxt = int(cls.next_dfh)
         self._set_dfh(st, slot, value, nxt)
         if nxt == _S0:
-            self._d_reclass_clean += 1
+            self._tx.reclass_clean += 1
             return
         if nxt == _DIS:
             line = st.way_lines[way]
@@ -609,8 +649,7 @@ class KilliClusterInterpreter:
             elif way in st.free:
                 st.free.remove(way)
             st.disabled.add(way)
-            st.new_disabled.add(way)
-            self._d_evict_disables += 1
+            self._tx.evict_disables += 1
             self._track_clear(slot)
             return
         self._invalidate_line(st, set_index, way)
@@ -639,7 +678,6 @@ class KilliClusterInterpreter:
                     del st.resident[line]
                     st.way_lines[way] = -1
                     st.disabled.add(way)
-                    st.new_disabled.add(way)
         self._track_clear(slot)
 
     def _on_fill(self, st: _SetShadow, set_index: int, way: int, line: int) -> None:
@@ -689,7 +727,7 @@ class KilliClusterInterpreter:
             if victim is None:
                 return None
             if has_data:
-                self._d_evictions += 1
+                self._tx.evictions += 1
                 self._on_evict(st, set_index, victim)
                 if victim in st.disabled:
                     continue  # training disabled the victim: retry
@@ -700,9 +738,8 @@ class KilliClusterInterpreter:
                 st.free.remove(victim)
             st.way_lines[victim] = line
             st.resident[line] = victim
-            self._d_fills += 1
+            self._tx.fills += 1
             self._on_fill(st, set_index, victim, line)
-            st.touched.add(victim)
             return victim
         return None
 
@@ -715,18 +752,31 @@ class KilliClusterInterpreter:
         original order); ``lines``/``stores``/``set_idx``/``lat`` are
         the global per-access arrays (``set_idx`` holds each access's
         precomputed L2 set index; ``lat`` receives each simulated
-        access's latency).  Returns None when the subsequence was fully
-        consumed or the offset of the first access that must run
-        per-access (a shared-RNG write hit).  Either way the simulated
-        prefix is committed before returning.
+        access's latency).  Returns None once the subsequence is fully
+        consumed — the cluster's transaction is then committed — or the
+        offset of a shared-RNG write hit, at which the transaction is
+        parked untouched.  Calling ``run`` again with that offset, at
+        the access's turn in the global order, resumes the transaction
+        and performs the write hit in the shadow first.
         """
-        self._begin(cluster)
-        n_sets = self._n_sets
         assoc = self._assoc
-        sets = self._sets
+        tx = self._parked.pop(cluster, None)
+        if tx is None:
+            tx = _Txn(
+                cluster,
+                [s * assoc + w for s, w in self._ecc._sets[cluster]],
+            )
+            resume = -1
+        else:
+            resume = start
+        self._tx = tx
+        if self._check_invariants:
+            self._rng_mark = self._rng_state()
+        n_sets = self._n_sets
+        sets = tx.sets
         act = self._act_off
         pure = self._pure
-        slot_state = self._slot_state
+        slot_state = tx.slot_state
         slot_get = slot_state.get
         # The weights list is only ever rebuilt by clear_all, which
         # cannot run inside a transaction, so the identity is stable
@@ -738,10 +788,10 @@ class KilliClusterInterpreter:
         fm_has_faults = self._fault_map.has_faults
         allocate = self._allocate
         materialize = self._materialize
-        ecc_entries = self._ecc_entries
+        ecc_entries = tx.ecc_entries
         ecc_assoc = self._ecc_assoc
-        dfh_over = self._dfh_over
-        trans = self._trans
+        dfh_over = tx.dfh_over
+        trans = tx.trans
         prio = _PRIORITY
         prio_repl = self._prio_repl
         off_init = self._scheme._off_initial_in_set
@@ -752,7 +802,7 @@ class KilliClusterInterpreter:
         lat_corrected = self._lat_hit_corrected
         lat_error = lat_hit + lat_miss
         # The hot counters accumulate in locals and flush on exit (all
-        # deltas are additive, so helpers mutating the same self._d_*
+        # deltas are additive, so helpers mutating the same _Txn
         # fields compose with the flush).
         d_reads = d_read_hits = d_read_misses = d_mem_reads = 0
         d_writes = d_mem_writes = d_write_hits = d_write_misses = 0
@@ -781,7 +831,6 @@ class KilliClusterInterpreter:
                         d_write_hits += 1
                         del resident[line]
                         resident[line] = way
-                        st.touched.add(way)
                     lat[gi] = lat_tag
                 elif way is not None:
                     d_reads += 1
@@ -789,7 +838,6 @@ class KilliClusterInterpreter:
                     d_hits_served += 1
                     del resident[line]
                     resident[line] = way
-                    st.touched.add(way)
                     lat[gi] = lat_hit
                 else:
                     d_reads += 1
@@ -800,17 +848,16 @@ class KilliClusterInterpreter:
                         victim = free.pop(0)
                     elif resident:
                         vline, victim = next(iter(resident.items()))
-                        self._d_evictions += 1
+                        tx.evictions += 1
                         del resident[vline]
                     else:
-                        self._d_bypasses += 1
+                        tx.bypasses += 1
                         lat[gi] = lat_miss
                         j += 1
                         continue
                     st.way_lines[victim] = line
                     resident[line] = victim
                     d_fills += 1
-                    st.touched.add(victim)
                     lat[gi] = lat_miss
                 j += 1
                 continue
@@ -818,33 +865,19 @@ class KilliClusterInterpreter:
                 if way is not None:
                     slot = set_index * assoc + way
                     if act[slot + 1] > act[slot]:
-                        # Shared-RNG masking re-roll: cannot simulate.
-                        # Commit the exact prefix and hand this access
-                        # to the per-access path.
-                        self._stale_slots[self._cluster] = slot
-                        self._d_reads += d_reads
-                        self._d_read_hits += d_read_hits + pure_hits
-                        self._d_read_misses += d_read_misses
-                        self._d_mem_reads += d_mem_reads
-                        self._d_writes += d_writes
-                        self._d_mem_writes += d_mem_writes
-                        self._d_write_hits += d_write_hits
-                        self._d_write_misses += d_write_misses
-                        self._d_hits_served += d_hits_served + pure_hits
-                        self._d_fills += d_fills
-                        self._d_ecc_acc += d_ecc_acc
-                        self._d_ecc_alloc += d_ecc_alloc
-                        self._d_ecc_evict += d_ecc_evict
-                        self._d_reclass_clean += d_reclass
-                        self._commit()
-                        return j
+                        # Shared-RNG masking re-roll: it must draw at
+                        # this access's global turn.  Pause, unless the
+                        # engine has just resumed us at exactly it.
+                        if j != resume:
+                            break
+                        self._reroll(slot)
+                    elif slot in slot_state or (
+                        not pure[slot] and weights[slot]
+                    ):
+                        slot_state[slot] = _CLEARED
                     d_writes += 1
                     d_mem_writes += 1
                     d_write_hits += 1
-                    if slot in slot_state or (
-                        not pure[slot] and weights[slot]
-                    ):
-                        slot_state[slot] = -1
                     if slot in ecc_entries:
                         # _ecc_touch, inline.
                         d_ecc_acc += 1
@@ -852,7 +885,6 @@ class KilliClusterInterpreter:
                         ecc_entries.insert(0, slot)
                     del resident[line]
                     resident[line] = way
-                    st.touched.add(way)
                 else:
                     d_writes += 1
                     d_mem_writes += 1
@@ -895,7 +927,7 @@ class KilliClusterInterpreter:
                     if act[slot + 1] > act[slot]:
                         slot_state[slot] = line // n_sets
                     elif slot in slot_state or weights[slot]:
-                        slot_state[slot] = -1
+                        slot_state[slot] = _CLEARED
                     if value == _INI or value == _S1:
                         d_ecc_acc += 1
                         if slot in ecc_entries:
@@ -917,7 +949,7 @@ class KilliClusterInterpreter:
                             esalt = slot_get(eslot)
                             if esalt is None:
                                 edirty = weights[eslot] != 0
-                            elif esalt < 0:
+                            elif esalt == _CLEARED:
                                 edirty = False
                             else:
                                 edirty = row_of(eslot, esalt) is not None
@@ -960,12 +992,11 @@ class KilliClusterInterpreter:
                                         est.triv = True
                         else:
                             ecc_entries.insert(0, slot)
-                    st.touched.add(victim)
                     lat[gi] = lat_miss
                     j += 1
                     continue
                 if allocate(st, set_index, line) is None:
-                    self._d_bypasses += 1
+                    tx.bypasses += 1
                 lat[gi] = lat_miss
                 j += 1
                 continue
@@ -976,7 +1007,6 @@ class KilliClusterInterpreter:
                 pure_hits += 1
                 del resident[line]
                 resident[line] = way
-                st.touched.add(way)
                 lat[gi] = lat_hit
                 j += 1
                 continue
@@ -985,7 +1015,7 @@ class KilliClusterInterpreter:
             salt = slot_get(slot)
             if salt is None:
                 dirty = weights[slot] != 0
-            elif salt < 0:
+            elif salt == _CLEARED:
                 dirty = False
             else:
                 dirty = row_of(slot, salt) is not None
@@ -1013,95 +1043,92 @@ class KilliClusterInterpreter:
                 d_read_hits += 1
                 del resident[line]
                 resident[line] = way
-                st.touched.add(way)
                 lat[gi] = lat_hit
             elif outcome == 1:
                 d_read_hits += 1
-                self._d_corrected += 1
+                tx.corrected += 1
                 del resident[line]
                 resident[line] = way
-                st.touched.add(way)
                 lat[gi] = lat_corrected
             else:
-                self._d_error_misses += 1
+                tx.error_misses += 1
                 del resident[line]
                 st.way_lines[way] = -1
                 if outcome == 3:
                     st.disabled.add(way)
-                    st.new_disabled.add(way)
                 else:
                     insort(st.free, way)
                 d_read_misses += 1
                 d_mem_reads += 1
                 if allocate(st, set_index, line) is None:
-                    self._d_bypasses += 1
+                    tx.bypasses += 1
                 lat[gi] = lat_error
             j += 1
-        self._d_reads += d_reads
-        self._d_read_hits += d_read_hits + pure_hits
-        self._d_read_misses += d_read_misses
-        self._d_mem_reads += d_mem_reads
-        self._d_writes += d_writes
-        self._d_mem_writes += d_mem_writes
-        self._d_write_hits += d_write_hits
-        self._d_write_misses += d_write_misses
-        self._d_hits_served += d_hits_served + pure_hits
-        self._d_fills += d_fills
-        self._d_ecc_acc += d_ecc_acc
-        self._d_ecc_alloc += d_ecc_alloc
-        self._d_ecc_evict += d_ecc_evict
-        self._d_reclass_clean += d_reclass
+        tx.reads += d_reads
+        tx.read_hits += d_read_hits + pure_hits
+        tx.read_misses += d_read_misses
+        tx.mem_reads += d_mem_reads
+        tx.writes += d_writes
+        tx.mem_writes += d_mem_writes
+        tx.write_hits += d_write_hits
+        tx.write_misses += d_write_misses
+        tx.hits_served += d_hits_served + pure_hits
+        tx.fills += d_fills
+        tx.ecc_acc += d_ecc_acc
+        tx.ecc_alloc += d_ecc_alloc
+        tx.ecc_evict += d_ecc_evict
+        tx.reclass_clean += d_reclass
+        if self._check_invariants:
+            self._check_rng_window()
+        if j < n:
+            self._parked[cluster] = tx
+            if METRICS.enabled:
+                METRICS.incr("killi_replay.pauses")
+            return j
         self._commit()
         return None
 
     # -- commit ------------------------------------------------------------
 
     def _commit(self) -> None:
-        if self._check_invariants and self._rng_mark is not None:
-            state = repr(self._errors.rng.bit_generator.state)
-            if state != self._rng_mark:
-                raise InvariantError(
-                    "[REPRO_CHECK_INVARIANTS] batched cluster simulation "
-                    f"drew shared RNG (cluster {self._cluster}): the "
-                    "interpreter window must be RNG-free — only the real "
-                    "per-access path may consume the stream"
-                )
+        tx = self._tx
         cache = self._cache
         tags = cache.tags
-        lru = cache.lru
+        line_at = tags._line_at
         stamp = cache._hit_stamp
         assoc = self._assoc
-        line_bytes = self._line_bytes
         scheme = self._scheme
         off_mv = scheme._off_initial_in_set
         uns_mv = scheme._unstable_in_set
         dis_mv = scheme._dfh_disabled_in_set
         stamp_clear = [-1] * assoc
-        for set_index, st in self._sets.items():
+        pending = []
+        for set_index, st in tx.sets.items():
+            # The real ways are untouched since _materialize exported
+            # them, and disables only accumulate in the shadow.
+            base = set_index * assoc
             way_lines = st.way_lines
-            orig = st.orig
-            new_disabled = st.new_disabled
-            if new_disabled or way_lines != orig:
-                # Pass 1: clear every changed way so a line that moved
+            orig = line_at[base : base + assoc]
+            disabled = st.disabled
+            if (
+                len(disabled) != tags.disabled_in_set[set_index]
+                or way_lines != orig
+            ):
+                # Clear every changed way first, so a line that moved
                 # between ways cannot have its index entry popped by the
                 # overwrite-insert of its old way.
                 for way in range(assoc):
-                    if way in new_disabled:
-                        tags.disable(set_index, way)
+                    if way in disabled:
+                        tags.disable(set_index, way)  # idempotent
                     elif way_lines[way] != orig[way] and orig[way] >= 0:
                         tags.invalidate(set_index, way)
-                for way in range(assoc):
-                    line = way_lines[way]
-                    if line >= 0 and line != orig[way]:
-                        tags.insert(line * line_bytes, way)
-            touched = st.touched
-            if touched:
-                # Final recency order; same convention as
-                # apply_set_replays (ages differ in value, not order).
-                for line, way in st.resident.items():
-                    if way in touched:
-                        lru.touch(set_index, way)
-            base = set_index * assoc
+                orig = line_at[base : base + assoc]
+            # Fills, and every resident way stamped in final recency
+            # order: untouched ways keep their relative order ahead of
+            # the touched ones, so the order among valid ways — all the
+            # replacement policy reads — matches the per-access touches.
+            resident = st.resident
+            pending.append((set_index, orig, resident, list(resident.values())))
             stamp[base : base + assoc] = stamp_clear
             if st.off_d:
                 off_mv[set_index] += st.off_d
@@ -1109,21 +1136,21 @@ class KilliClusterInterpreter:
                 uns_mv[set_index] += st.uns_d
             if st.dis_d:
                 dis_mv[set_index] += st.dis_d
-        if self._dfh_over:
+        if pending:
+            bulk_apply_set_replays(tags, cache.lru, pending)
+        if tx.dfh_over:
             dfh_mv = self._dfh_mv
-            for slot, value in self._dfh_over.items():
+            for slot, value in tx.dfh_over.items():
                 dfh_mv[slot] = value
             trans_mv = scheme._transitions_mv
-            for key, count in enumerate(self._trans):
+            for key, count in enumerate(tx.trans):
                 if count:
                     trans_mv[key >> 2, key & 3] += count
         # ECC cache: key-list writeback plus a membership diff for the
         # O(1) mirrors.
         ecc = self._ecc
-        entries = ecc._sets[self._cluster]
-        new_entries = [
-            (key // assoc, key % assoc) for key in self._ecc_entries
-        ]
+        entries = ecc._sets[tx.cluster]
+        new_entries = [(key // assoc, key % assoc) for key in tx.ecc_entries]
         if entries != new_entries:
             if ecc._l2_assoc is not None:
                 member = ecc._member
@@ -1138,51 +1165,63 @@ class KilliClusterInterpreter:
                     member[key_set * l2_assoc + key_way] = True
                     count_for_set[key_set] += 1
             entries[:] = new_entries
-        ecc.accesses += self._d_ecc_acc
-        ecc.allocations += self._d_ecc_alloc
-        ecc.evictions += self._d_ecc_evict
-        # Error rows: replay the last event per slot through the real
-        # model (fills are salt-keyed and idempotent).
+        ecc.accesses += tx.ecc_acc
+        ecc.allocations += tx.ecc_alloc
+        ecc.evictions += tx.ecc_evict
+        # Error rows: install the last event per slot.  A row the
+        # shadow already derived for that event (a fill prediction —
+        # same coins, same packing — or a write-hit re-roll) is exactly
+        # what on_fill / on_write_hit would store; a fill never read in
+        # the shadow replays on_fill itself.
         errors = self._errors
-        for slot, salt in self._slot_state.items():
-            if salt < 0:
+        rows = tx.rows
+        for slot, event in tx.slot_state.items():
+            if event == _CLEARED:
                 errors.clear(slot)
+                continue
+            rec = rows.get(slot)
+            if rec is not None and rec[0] == event:
+                errors.install_row(slot, rec[1])
             else:
-                errors.on_fill(slot, salt)
+                errors.on_fill(slot, event)
         # Purity fixup: re-derive the bitmap for exactly the slots
         # whose DFH or error rows this transaction changed, from the
         # now-committed real state.
         pure = self._pure
         dfh_mv = self._dfh_mv
         is_dirty = errors.is_dirty
-        for slot in self._dfh_over:
+        for slot in tx.dfh_over:
             pure[slot] = 1 if dfh_mv[slot] == _S0 and not is_dirty(slot) else 0
-        for slot in self._slot_state:
+        for slot in tx.slot_state:
             pure[slot] = 1 if dfh_mv[slot] == _S0 and not is_dirty(slot) else 0
         stats = cache.stats
-        stats.reads += self._d_reads
-        stats.read_hits += self._d_read_hits
-        stats.read_misses += self._d_read_misses
-        stats.writes += self._d_writes
-        stats.write_hits += self._d_write_hits
-        stats.write_misses += self._d_write_misses
-        stats.evictions += self._d_evictions
-        stats.fills += self._d_fills
-        stats.bypasses += self._d_bypasses
-        stats.error_induced_misses += self._d_error_misses
-        stats.corrected_reads += self._d_corrected
-        stats.invalidations += self._d_invalidations
-        stats.ecc_evict_invalidations += self._d_ecc_evict_inval
-        if self._d_ecc_corrections:
-            stats.bump("ecc_corrections", self._d_ecc_corrections)
-        if self._d_reclass_clean:
-            stats.bump("ecc_evict_reclassified_clean", self._d_reclass_clean)
-        if self._d_evict_disables:
-            stats.bump("ecc_evict_disables", self._d_evict_disables)
-        cache.memory_reads += self._d_mem_reads
-        cache.memory_writes += self._d_mem_writes
-        scheme.hits_served += self._d_hits_served
-        scheme.sdc_events += self._d_sdc
+        stats.reads += tx.reads
+        stats.read_hits += tx.read_hits
+        stats.read_misses += tx.read_misses
+        stats.writes += tx.writes
+        stats.write_hits += tx.write_hits
+        stats.write_misses += tx.write_misses
+        stats.evictions += tx.evictions
+        stats.fills += tx.fills
+        stats.bypasses += tx.bypasses
+        stats.error_induced_misses += tx.error_misses
+        stats.corrected_reads += tx.corrected
+        stats.invalidations += tx.invalidations
+        stats.ecc_evict_invalidations += tx.ecc_evict_inval
+        if tx.ecc_corrections:
+            stats.bump("ecc_corrections", tx.ecc_corrections)
+        if tx.reclass_clean:
+            stats.bump("ecc_evict_reclassified_clean", tx.reclass_clean)
+        if tx.evict_disables:
+            stats.bump("ecc_evict_disables", tx.evict_disables)
+        cache.memory_reads += tx.mem_reads
+        cache.memory_writes += tx.mem_writes
+        scheme.hits_served += tx.hits_served
+        scheme.sdc_events += tx.sdc
+        self._tx = None
+        if METRICS.enabled:
+            METRICS.incr("killi_replay.commits")
+            METRICS.incr("killi_replay.materializations", len(tx.sets))
         if self._check_invariants:
-            for set_index in self._sets:
+            for set_index in tx.sets:
                 check_set_invariants(cache, set_index)

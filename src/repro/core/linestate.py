@@ -378,17 +378,38 @@ class LineErrorModel:
         offsets = self._act_offsets
         if offsets is None:
             offsets = self._ensure_active()
-        start = offsets[line_id]
-        stop = offsets[line_id + 1]
-        if start == stop:
+        if offsets[line_id] == offsets[line_id + 1]:
             # No active faults: nothing persists and the overwrite
             # drops any accumulated soft errors.
             self._clear_row(line_id)
             return
-        positions = self._act_positions[start:stop]
-        row = self._rows[line_id] & self._active_mask(line_id)  # soft errors overwritten
+        self._store_row(line_id, self.rerolled_row(line_id, self._rows[line_id]))
+
+    def rerolled_row(self, line_id: int, row) -> np.ndarray:
+        """The row a write hit leaves on a line with active faults.
+
+        ``row`` is the line's current packed vector (None = empty).
+        Soft errors are overwritten, and each active fault's masking
+        state toggles with ``mask_flip_probability`` — one draw per
+        active fault from the *shared* stream, so callers must make
+        this call at the access's turn in the global order.  Mutates
+        nothing else; :meth:`on_write_hit` stores the result.
+        """
+        positions = self._active_positions(line_id)
+        if row is None:
+            kept = np.zeros(self._words, dtype=np.uint64)
+        else:
+            kept = row & self._active_mask(line_id)
         toggles = self.rng.random(len(positions)) < self.mask_flip_probability
-        row = row ^ pack_positions(positions[toggles], self.layout.total_bits)
+        return kept ^ pack_positions(positions[toggles], self.layout.total_bits)
+
+    def install_row(self, line_id: int, row) -> None:
+        """Store ``row`` (None = empty) as a fill or write hit on a line
+        with active faults would: the batched replay interpreter's
+        commit of a row it already derived (:meth:`predicted_fill_row`
+        or :meth:`rerolled_row`)."""
+        if row is None:
+            row = np.zeros(self._words, dtype=np.uint64)
         self._store_row(line_id, row)
 
     def set_effective(self, line_id: int, offsets) -> None:

@@ -425,8 +425,6 @@ class GpuSimulator:
         lat = np.zeros(n, dtype=np.int64)  # batched accesses only
         latency_py = [0] * n_cus  # fallback-path accumulation
         stores_list = r_stores.tolist()
-        addrs_list = r_addrs.tolist()
-        cus_list = r_cus.tolist()
         clean_done: set = set()
         miss_all: list = []
         pending: list = []  # deferred (set, way_lines, resident, touch_order)
@@ -441,6 +439,10 @@ class GpuSimulator:
         # when one exists.
         surface = batched_surface(l2)
         interp = surface.interpreter if surface is not None else None
+        if interp is None:
+            # Only the per-access paths need addresses and CU ids.
+            addrs_list = r_addrs.tolist()
+            cus_list = r_cus.tolist()
         guard_aborts = 0
         interp_done = False
         if interp is not None:
@@ -448,16 +450,17 @@ class GpuSimulator:
             # structure contention couples L2 sets only within ECC-set
             # clusters, so the stream partitions exactly by cluster;
             # each cluster's subsequence is simulated in original order
-            # with full scheme semantics and committed in bulk (see
-            # :mod:`repro.core.killi_replay`).  The only events the
-            # interpreter cannot simulate are shared-RNG write hits:
-            # each aborts its cluster after committing the exact
-            # prefix, and a min-heap over the *global* positions of
-            # pending aborts replays them through the real per-access
-            # path in ascending stream order.  Simulation itself never
-            # draws RNG and clusters are state-disjoint, so the heap
-            # order is the only order in which RNG is consumed — the
-            # same order the scalar engine consumes it.
+            # with full scheme semantics and committed once, in bulk
+            # (see :mod:`repro.core.killi_replay`).  The only events
+            # that must wait for their global turn are shared-RNG write
+            # hits: each pauses its cluster's transaction, and a
+            # min-heap over the *global* positions of the paused
+            # accesses resumes the clusters in ascending stream order,
+            # each resume making its write hit's draw in the shadow.
+            # Nothing else draws RNG, clusters are state-disjoint and
+            # no per-access L2 call runs meanwhile, so the heap order
+            # is the only order in which RNG is consumed — the same
+            # order the scalar engine consumes it.
             l2_set_idx = line_nos % n_sets
             cluster_idx = l2_set_idx % interp.ecc_n_sets
             c_order = np.argsort(cluster_idx, kind="stable")
@@ -482,14 +485,11 @@ class GpuSimulator:
                     heap.append((idxs[k], c, k))
             heapq.heapify(heap)
             while heap:
-                gi, c, k = heapq.heappop(heap)
-                lat_list[gi] = l2_write(addrs_list[gi])
-                n_fallback += 1
+                _, c, k = heapq.heappop(heap)
                 guard_aborts += 1
                 idxs = cluster_groups[c]
                 k = interp.run(
-                    c, idxs, k + 1, lines_list, stores_list, lat_list,
-                    sets_list,
+                    c, idxs, k, lines_list, stores_list, lat_list, sets_list
                 )
                 if k is not None:
                     heapq.heappush(heap, (idxs[k], c, k))

@@ -224,6 +224,7 @@ def _run_sec55(args) -> None:
         timeout=args.timeout,
         journal=args.journal,
         resume=args.resume,
+        engine=args.engine,
     )
     rows = []
     for key in ("baseline", "msecc", "killi_secded_1:8", "killi_olsc_1:8"):
@@ -486,8 +487,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine", default="batched", choices=ENGINE_REGISTRY.names(),
         metavar="NAME",
-        help="simulation inner loop for Figure 4/5 cells — any name in "
-             f"the engine registry ({', '.join(ENGINE_REGISTRY.names())}); "
+        help="simulation inner loop for Figure 4/5 and Section 5.5 cells "
+             "— any name in the engine registry "
+             f"({', '.join(ENGINE_REGISTRY.names())}); "
              "all engines are pinned bit-identical, so this only changes "
              "wall-clock time",
     )

@@ -251,6 +251,7 @@ def sec55_lower_vmin(
     timeout: Optional[float] = None,
     journal=None,
     resume=None,
+    engine: Optional[str] = None,
 ) -> dict:
     """Section 5.5: Killi with OLSC vs MS-ECC below the SECDED Vmin.
 
@@ -258,8 +259,11 @@ def sec55_lower_vmin(
     ~92% of lines have 2+ faults — while Killi with an OLSC-t11 ECC
     cache (1:8) retains MS-ECC-class capacity at a fraction of the
     area.  Returns per-scheme normalized time, MPKI and disabled
-    capacity.  The four scheme cells go through the parallel runner.
+    capacity.  The four scheme cells go through the parallel runner;
+    ``engine`` picks their inner loop (None: the cell default), which
+    never changes the numbers.
     """
+    engine_kw = {} if engine is None else {"engine": engine}
     key_to_scheme = {
         "baseline": "baseline",
         "msecc": "msecc",
@@ -273,6 +277,7 @@ def sec55_lower_vmin(
             voltage=voltage,
             seed=seed,
             accesses_per_cu=accesses_per_cu,
+            **engine_kw,
         )
         for scheme in key_to_scheme.values()
     ]

@@ -40,6 +40,7 @@ and fanned back out to every requesting index.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import os
@@ -244,7 +245,7 @@ def run_cell(spec) -> CellResult:
     METRICS.incr("cells.simulated")
 
     dfh = scheme.dfh_histogram() if hasattr(scheme, "dfh_histogram") else None
-    return CellResult(
+    cell = CellResult(
         workload=scenario.workload.name,
         scheme=scenario.scheme.name,
         voltage=scenario.fault.voltage,
@@ -265,6 +266,13 @@ def run_cell(spec) -> CellResult:
         elapsed_s=elapsed,
         fingerprint=scenario.fingerprint(),
     )
+    # The simulator's scheme <-> cache back-references are reference
+    # cycles, which only the cyclic collector frees: reclaim this
+    # cell's caches now rather than let them linger into the next
+    # cell's peak memory.
+    del simulator, scheme, result
+    gc.collect()
+    return cell
 
 
 # -- on-disk result cache ------------------------------------------------------

@@ -7,8 +7,11 @@ loop.  These tests pin the pieces that make that sound:
 - engine equivalence including the *scheme-side* state the
   generic matrix does not compare (DFH histogram, transition counts,
   SDC events, ECC-cache counters);
-- a directed shared-RNG write hit that must abort the interpreter and
-  replay through the real path, bit-identically;
+- directed shared-RNG write hits that must pause the interpreter and
+  run in the shadow at their global turn, bit-identically — alone and
+  interleaved across two clusters — with the armed RNG-conservation
+  check live around them;
+- the interpreter's materialization / pause / commit counters;
 - per-set epoch isolation (a DFH transition in one set must not evict
   memoized hits in another);
 - the ECC cache's O(1) membership mirrors against the plain key lists;
@@ -133,8 +136,8 @@ class TestInterpreterEquivalence:
 
 class TestDirectedRngAbort:
     """A write hit on a slot with active LV faults re-rolls masking
-    with the shared RNG; the interpreter must abort there, commit its
-    exact prefix, and hand the access to the real path."""
+    with the shared RNG; the interpreter must pause there, untouched,
+    and perform the write in the shadow when the engine resumes it."""
 
     def _find_active_slot(self, scheme):
         errors = scheme.errors
@@ -197,6 +200,232 @@ class TestDirectedRngAbort:
             ) >= 1
         finally:
             METRICS.disable()
+
+
+class TestInterleavedPauses:
+    """Two clusters, three shared-RNG write hits each, interleaved in
+    global order with L2 reads of the re-rolled lines between them.
+
+    Every write hit must pause its cluster and run in the shadow at its
+    global turn: the batched engine reproduces the scalar reference's
+    state digest (RNG stream position included), scheme state and
+    error rows, with one pause per write hit and no per-access
+    fallback.
+    """
+
+    SEED = 21
+    SCHEME = "killi_1:8"
+    WRITES = 3  # write hits per cluster
+
+    def _plan(self, scheme):
+        """Pick two single-active-fault slots in different clusters, a
+        padding set in a third cluster and a fresh set in the first
+        slot's cluster."""
+        errors = scheme.errors
+        geometry = scheme.geometry
+        assoc = geometry.associativity
+        n_sets = geometry.n_sets
+        n_ecc = scheme.ecc.n_sets
+        single = sorted(
+            (slot % assoc, slot // assoc)
+            for slot in range(geometry.n_lines)
+            if len(errors._active_positions(slot)) == 1
+        )
+        way_a, set_a = single[0]
+        way_b, set_b = next(
+            (w, s) for w, s in single if s % n_ecc != set_a % n_ecc
+        )
+        used = {set_a % n_ecc, set_b % n_ecc}
+        pad = next(s for s in range(n_sets) if s % n_ecc not in used)
+        fresh = (set_a + n_ecc) % n_sets
+        assert fresh != set_a
+        return set_a, way_a, set_b, way_b, pad, fresh
+
+    def _trace(self, config, plan):
+        """CU 0 fills ways 0..way of both sets (uniform-priority warmup
+        fills ascending ways) so the last lines land on the chosen
+        slots.  Then, round by round, CU 0 stores to A and CU 1 to B
+        (write hits), and two fresh CUs read A and B back from the L2
+        (a CU's first read of a line always misses its private L1).
+        Idle CUs re-read a private padding line, which only the first
+        time reaches the L2.  Last, CU 0 reads a fresh set of A's
+        cluster, materialized after A's final resume."""
+        set_a, way_a, set_b, way_b, pad, fresh = plan
+        n_sets = config.l2.n_sets
+        line_bytes = config.l2.line_bytes
+
+        def addr(set_index, k):
+            return (set_index + k * n_sets) * line_bytes
+
+        rounds = [{0: (addr(set_a, k), False)} for k in range(way_a + 1)]
+        rounds += [{0: (addr(set_b, k), False)} for k in range(way_b + 1)]
+        line_a, line_b = addr(set_a, way_a), addr(set_b, way_b)
+        for i in range(self.WRITES):
+            rounds.append({
+                0: (line_a, True),
+                1: (line_b, True),
+                2 + 2 * i: (line_a, False),
+                3 + 2 * i: (line_b, False),
+            })
+        rounds.append({0: (addr(fresh, 0), False)})
+        streams = []
+        for cu in range(config.n_cus):
+            events = [
+                r.get(cu, (addr(pad, cu + 1), False)) for r in rounds
+            ]
+            streams.append(CuStream(
+                addrs=np.array([a for a, _ in events], dtype=np.int64),
+                is_store=np.array([st for _, st in events]),
+                gaps=np.zeros(len(events), dtype=np.int64),
+            ))
+        return Trace("interleaved-pauses", streams)
+
+    def _run(self, engine, count_rng_writes=False):
+        sim, scheme = build_sim(engine, self.SCHEME, self.SEED)
+        assert sim.config.n_cus >= 2 + 2 * self.WRITES
+        trace = self._trace(sim.config, self._plan(scheme))
+        rng_writes = []
+        if count_rng_writes:
+            errors = scheme.errors
+            on_write_hit = errors.on_write_hit
+
+            def counted(line_id):
+                if errors.slot_has_active(line_id):
+                    rng_writes.append(line_id)
+                on_write_hit(line_id)
+
+            errors.on_write_hit = counted
+        result = sim.run(trace)
+        return sim, scheme, result, rng_writes
+
+    def test_interleaved_pauses_are_exact(self):
+        sim, scheme, result, rng_writes = self._run(
+            "scalar", count_rng_writes=True
+        )
+        n_ecc = scheme.ecc.n_sets
+        assoc = scheme.geometry.associativity
+        # Precondition: the trace really makes WRITES shared-RNG write
+        # hits per cluster, interleaved A, B, A, B, ...
+        clusters = [slot // assoc % n_ecc for slot in rng_writes]
+        assert len(rng_writes) == 2 * self.WRITES
+        assert clusters[0] != clusters[1]
+        assert clusters == clusters[:2] * self.WRITES
+        reference = (
+            sim.state_digest(),
+            scheme_state_key(result, sim, scheme),
+            scheme.errors._rows.tobytes(),
+        )
+        METRICS.enable(propagate_env=False)
+        try:
+            METRICS.reset()
+            sim, scheme, result, _ = self._run("batched")
+            counters = METRICS.snapshot()["counters"]
+        finally:
+            METRICS.disable()
+        assert (
+            sim.state_digest(),
+            scheme_state_key(result, sim, scheme),
+            scheme.errors._rows.tobytes(),
+        ) == reference
+        assert counters["engine.batched.guard_aborts.KilliScheme"] == len(
+            rng_writes
+        )
+        assert counters["engine.batched.fallback.KilliScheme"] == 0
+        assert counters["killi_replay.pauses"] == len(rng_writes)
+
+    def test_rng_conservation_check_stays_live(self, monkeypatch):
+        """Armed, the scheduled in-shadow draws pass; one stray draw in
+        a resumed segment raises."""
+        from repro.core.killi_replay import KilliClusterInterpreter
+        from repro.testing.invariants import INVARIANTS_ENV, InvariantError
+
+        monkeypatch.setenv(INVARIANTS_ENV, "1")
+        reference, *_ = self._run("scalar")
+        sim, *_ = self._run("batched")
+        assert sim.state_digest() == reference.state_digest()
+
+        run = KilliClusterInterpreter.run
+        materialize = KilliClusterInterpreter._materialize
+        stray = {"resumed": False, "drawn": False}
+
+        def tracking_run(self, cluster, idxs, start, *rest):
+            stray["resumed"] |= start > 0  # fresh runs start at 0
+            return run(self, cluster, idxs, start, *rest)
+
+        def drawing_materialize(self, set_index):
+            if stray["resumed"] and not stray["drawn"]:
+                stray["drawn"] = True
+                self._errors.rng.random()
+            return materialize(self, set_index)
+
+        monkeypatch.setattr(KilliClusterInterpreter, "run", tracking_run)
+        monkeypatch.setattr(
+            KilliClusterInterpreter, "_materialize", drawing_materialize
+        )
+        with pytest.raises(InvariantError, match="drew shared RNG"):
+            self._run("batched")
+        assert stray["drawn"]
+
+
+class TestInterpreterCounters:
+    """``killi_replay.*`` telemetry: one commit per cluster with L2
+    traffic, and each touched set materialized once per kernel."""
+
+    def test_counts_per_kernel(self, monkeypatch):
+        from repro.core.killi_replay import KilliClusterInterpreter
+
+        sim, scheme = build_sim("batched", "killi_1:8", 31)
+        n_ecc = scheme.ecc.n_sets
+        seen = {"clusters": set(), "sets": set()}
+        run = KilliClusterInterpreter.run
+
+        def recording_run(self, cluster, idxs, start, lines, stores, lat, sets):
+            seen["clusters"].add(cluster)
+            seen["sets"].update(sets[gi] for gi in idxs)
+            return run(self, cluster, idxs, start, lines, stores, lat, sets)
+
+        monkeypatch.setattr(KilliClusterInterpreter, "run", recording_run)
+        rng = RngFactory(31)
+        METRICS.enable(propagate_env=False)
+        try:
+            for k in range(3):
+                trace = workload_trace(
+                    "xsbench", 1200, n_cus=sim.config.n_cus,
+                    rng=rng.stream(f"trace/k{k}"),
+                )
+                # ECC entries may point into sets of a cluster that
+                # this kernel's stream does not access itself.
+                ecc_sets = {
+                    key_set
+                    for entries in scheme.ecc._sets
+                    for key_set, _ in entries
+                }
+                seen["clusters"].clear()
+                seen["sets"].clear()
+                METRICS.reset()
+                sim.run(trace)
+                counters = METRICS.snapshot()["counters"]
+                touched = seen["sets"]
+                reachable = touched | {
+                    s for s in ecc_sets if s % n_ecc in seen["clusters"]
+                }
+                assert counters["killi_replay.commits"] == len(seen["clusters"])
+                assert (
+                    len(touched)
+                    <= counters["killi_replay.materializations"]
+                    <= len(reachable)
+                )
+                assert counters.get("killi_replay.pauses", 0) == counters[
+                    "engine.batched.guard_aborts.KilliScheme"
+                ]
+        finally:
+            METRICS.disable()
+        METRICS.reset()
+        sim.run(trace)
+        assert not any(
+            name.startswith("killi_replay.")
+            for name in METRICS.snapshot()["counters"]
+        )
 
 
 class TestPerSetEpochs:

@@ -175,6 +175,21 @@ class TestCli:
         assert main(["sec55", "--accesses", "400"]) == 0
         assert "Section 5.5" in capsys.readouterr().out
 
+    def test_sec55_forwards_engine(self, monkeypatch, capsys):
+        from repro.harness import experiments
+        from repro.harness.cli import main
+
+        engines = []
+        run_cells = experiments.run_cells
+
+        def spy(specs, **kwargs):
+            engines.extend(spec.engine.engine for spec in specs)
+            return run_cells(specs, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_cells", spy)
+        assert main(["sec55", "--engine", "scalar", "--accesses", "200"]) == 0
+        assert engines == ["scalar"] * 4
+
     def test_sec55_forwards_seed(self, capsys):
         from repro.harness.cli import main
         from repro.harness.experiments import sec55_lower_vmin
