@@ -155,7 +155,6 @@ _ACCESS_PROTOCOL = (
     "_allocate",
     "_choose_victim",
     "_memoize",
-    "set_replay_info",
     "set_replay_profile",
     "apply_set_replays",
     "commit_set_replays",
@@ -480,24 +479,6 @@ class CacheModel:
         return self._lat_miss
 
     # -- batched set replay ------------------------------------------------
-
-    def set_replay_info(self, set_index: int):
-        """Per-hit replay tuple if the set may be replayed in batch.
-
-        Combines the cache-level conditions (batchable scalar
-        semantics, no disabled ways — their presence changes victim
-        selection — and no way filtering) with the scheme's own
-        set-inertness probe
-        (:meth:`~repro.cache.hooks.ProtectionScheme.set_replay_info`).
-        None forces the per-access path for the set.
-        """
-        if not self.semantics_batchable:
-            return None
-        if self.tags.disabled_in_set[set_index]:
-            return None
-        if self._scheme_filters_ways:
-            return None
-        return self.scheme.set_replay_info(set_index)
 
     def set_replay_profile(self, set_index: int):
         """Batched-replay profile for the set, or None (per-access path).

@@ -274,47 +274,16 @@ class ProtectionScheme:
 
     # -- batched set replay ----------------------------------------------
 
-    def set_replay_info(self, set_index: int):
-        """Replay tuple if the whole set is *scheme-inert*, else None.
-
-        The batched engine partitions the L2-bound stream by set; a set
-        it may simulate without per-access scheme dispatch must satisfy,
-        for the remainder of the current kernel:
-
-        - every read hit in the set behaves per the returned tuple
-          (``(corrected, hits_inc, sdc_inc)``, as ``hit_replay_info``);
-        - ``on_fill`` / ``on_write_hit`` / ``on_evict`` on any way of
-          the set are pure no-ops (no state, stat, RNG or shared-
-          structure effects);
-        - victim selection reduces to first-invalid / plain LRU (no
-          way filtering, uniform fill priorities);
-        - nothing outside the set's own accesses can mutate the set
-          (no shared-structure entries pointing at it).
-
-        The guarantee must be *monotone*: once true it stays true until
-        the kernel ends (schemes whose clean sets can be re-dirtied by
-        their own accesses must return None).  The base implementation
-        covers schemes that override none of the behavioural hooks
-        (:data:`BEHAVIOURAL_HOOKS`) — unaware subclasses safely opt
-        out.
-        """
-        cls = type(self)
-        inert = _INERT_BY_CLASS.get(cls)
-        if inert is None:
-            inert = hooks_unchanged(cls)
-            _INERT_BY_CLASS[cls] = inert
-        if not inert:
-            return None
-        return PURE_CLEAN_HIT
-
     def set_replay_profile(self, set_index: int):
         """Batched-replay profile ``(info, corrected_ways, guard)`` or None.
 
-        The generalisation of :meth:`set_replay_info` the batched
-        engine actually consumes:
+        The batched engine partitions the L2-bound stream by set and
+        replays a set without per-access scheme dispatch when this
+        returns a profile:
 
         - ``info`` — the per-hit replay tuple applied to the set's
-          read hits (as ``set_replay_info``);
+          read hits (``(corrected, hits_inc, sdc_inc)``, as
+          :meth:`hit_replay_info`);
         - ``corrected_ways`` — None, or the ways whose read hits
           replay as CORRECTED (+1 cycle, ``corrected_reads``) instead
           of ``info[0]``'s latency class.  Lets statically-
@@ -324,18 +293,35 @@ class ProtectionScheme:
           :func:`make_replay_guard`, passed to
           :func:`repro.cache.soa.replay_clean_set`, which aborts the
           replay on the rare events that cannot be replayed out of
-          order (shared-RNG draws, unmasked fills).  With a guard the
-          inertness condition need not be monotone in itself — the
-          kernel re-checks every event — but everything *outside* the
-          guarded events must still be inert for the kernel remainder.
+          order (shared-RNG draws, unmasked fills).
 
-        The default wraps :meth:`set_replay_info`: uniform hits, no
-        guard, which keeps every existing scheme's behaviour.
+        Everything outside the guarded events must keep the set
+        *scheme-inert* for the rest of the current kernel:
+
+        - every read hit in the set behaves per ``info`` /
+          ``corrected_ways``;
+        - ``on_fill`` / ``on_write_hit`` / ``on_evict`` on any way of
+          the set are pure no-ops (no state, stat, RNG or shared-
+          structure effects);
+        - victim selection reduces to first-invalid / plain LRU (no
+          way filtering, uniform fill priorities);
+        - nothing outside the set's own accesses can mutate the set
+          (no shared-structure entries pointing at it).
+
+        Without a guard the guarantee must be *monotone*: once true it
+        stays true until the kernel ends.  The default covers schemes
+        that override none of the behavioural hooks
+        (:data:`BEHAVIOURAL_HOOKS`) — uniform pure-clean hits, no
+        guard; unaware subclasses safely opt out.
         """
-        info = self.set_replay_info(set_index)
-        if info is None:
+        cls = type(self)
+        inert = _INERT_BY_CLASS.get(cls)
+        if inert is None:
+            inert = hooks_unchanged(cls)
+            _INERT_BY_CLASS[cls] = inert
+        if not inert:
             return None
-        return (info, None, None)
+        return (PURE_CLEAN_HIT, None, None)
 
     def batch_interpreter(self, cache):
         """Scheme-exact batch interpreter for the engine, or None.

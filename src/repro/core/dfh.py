@@ -43,6 +43,7 @@ __all__ = [
     "CLASSIFY_NEXT",
     "CLASSIFY_ACTION",
     "CLASSIFY_FREE",
+    "FILL_PRIORITY",
 ]
 
 
@@ -74,6 +75,11 @@ class DfhAction(enum.Enum):
     ERROR_MISS = "error_miss"
     """Signal an error-induced cache miss; invalidate (or disable) the
     line and trigger a new load request."""
+
+
+#: Fill priority per DFH value for invalid victim candidates (paper
+#: Section 4.4: b'01 > b'00 > b'10; disabled lines are never filled).
+FILL_PRIORITY = (1, 2, 0, 0)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import AccessOutcome, ProtectionScheme, make_replay_guard
 from repro.core.config import KilliConfig
-from repro.core.dfh import Classification, Dfh, DfhAction, classify
+from repro.core.dfh import FILL_PRIORITY, Classification, Dfh, DfhAction, classify
 from repro.core.ecc_cache import EccCache
 from repro.core.layout import LineLayout
 from repro.core.linestate import LineErrorModel
@@ -133,9 +133,6 @@ class KilliScheme(ProtectionScheme):
         self.errors.external_mutation_hook = cache.bump_epoch
 
     # -- internals ---------------------------------------------------------
-
-    #: fill priority per DFH value (paper 4.4: b'01 > b'00 > b'10).
-    _PRIORITY = (1, 2, 0, 0)
 
     def _line_id(self, set_index: int, way: int) -> int:
         return set_index * self._assoc + way
@@ -378,47 +375,6 @@ class KilliScheme(ProtectionScheme):
         self.hits_served += info[1]
         self.sdc_events += info[2]
 
-    def set_replay_info(self, set_index: int):
-        """Scheme-inert probe: every way stable-clean and uncoupled.
-
-        A set qualifies when all of its lines are DFH b'00 with an
-        empty error vector, no *active* LV faults at the current
-        voltage, and no ECC-cache entry.  Such a set is inert for the
-        rest of the kernel:
-
-        - hits take the b'00 fast-clean path (``hits_served += 1``,
-          CLEAN, no epoch/ECC traffic) — the returned tuple;
-        - fills keep DFH b'00 (no ECC insert) and resample nothing
-          (no active faults -> ``errors.on_fill`` clears an already
-          empty row without consuming RNG);
-        - write hits likewise touch neither RNG nor ECC state;
-        - evictions train nothing (b'00 is not b'01) and remove no
-          entry;
-        - fill priorities are uniform (every way b'00) so victim
-          selection is first-invalid / plain LRU;
-        - no entries means no other set's ECC contention can reach in,
-          and its own accesses never create entries, faults or DFH
-          transitions — the condition is monotone within a kernel.
-        """
-        if self.soft_injector is not None:
-            return None
-        # All-STABLE_0 <=> no unstable (b'01/b'10) and no disabled way:
-        # two O(1) counter probes instead of a slice compare.
-        if self._unstable_in_set[set_index] or self._dfh_disabled_in_set[
-            set_index
-        ]:
-            return None
-        base = set_index * self._assoc
-        stop = base + self._assoc
-        errors = self.errors
-        if errors.active_faults_in_range(base, stop):
-            return None
-        if errors.dirty_in_range(base, stop):
-            return None
-        if self.ecc.has_entries_for(set_index):
-            return None
-        return (False, 1, 0)
-
     def apply_replay_bulk(self, info, count: int) -> None:
         self.hits_served += info[1] * count
         self.sdc_events += info[2] * count
@@ -426,12 +382,12 @@ class KilliScheme(ProtectionScheme):
     def set_replay_profile(self, set_index: int):
         """Guarded batched replay for stabilised sets.
 
-        Looser than :meth:`set_replay_info`: ways may be DISABLED
-        (inert — their state was cleared at disable time and the tag
-        store never offers them again) and lines may sit over *active*
-        LV faults, as long as every enabled way is DFH b'00, no error
-        vector is non-empty and no ECC-cache entry exists.  Hits then
-        all take the b'00 fast-clean path and evictions train nothing.
+        A set qualifies when every enabled way is DFH b'00, no error
+        vector is non-empty and no ECC-cache entry points at it.
+        DISABLED ways are allowed (inert — their state was cleared at
+        disable time and the tag store never offers them again), and
+        lines may sit over *active* LV faults.  Hits then all take the
+        b'00 fast-clean path and evictions train nothing.
 
         The two events such a set cannot replay out of order are
         guarded instead of forbidden:
@@ -452,8 +408,6 @@ class KilliScheme(ProtectionScheme):
         if self.soft_injector is not None:
             return None
         # Stabilised <=> no way in b'01/b'10: one O(1) counter probe.
-        # DISABLED ways are allowed here, unlike set_replay_info (they
-        # are inert — cleared at disable time and never offered again).
         if self._unstable_in_set[set_index]:
             return None
         base = set_index * self._assoc
@@ -490,7 +444,8 @@ class KilliScheme(ProtectionScheme):
         Unlike the guarded set replay above, the interpreter
         (:class:`repro.core.killi_replay.KilliClusterInterpreter`)
         handles *every* set — DFH warmup, classification and ECC-cache
-        contention included — aborting only at shared-RNG write hits.
+        contention included — pausing at shared-RNG write hits until
+        the engine resumes it at their turn in the global order.
         Gated to exactly this class (subclasses may change semantics
         the interpreter replicates) and to runs without a soft-error
         injector (whose per-hit sampling draws shared RNG).
@@ -547,15 +502,14 @@ class KilliScheme(ProtectionScheme):
         if not self.config.priority_replacement:
             return 0
         line_id = set_index * self.geometry.associativity + way
-        return self._PRIORITY[int(self.dfh[line_id])]
+        return FILL_PRIORITY[int(self.dfh[line_id])]
 
     def fill_priorities(self, set_index: int, ways) -> list:
         if not self.config.priority_replacement:
             return [0] * len(ways)
         base = set_index * self._assoc
         dfh = self.dfh[base : base + self._assoc]
-        prio = self._PRIORITY
-        return [prio[dfh[way]] for way in ways]
+        return [FILL_PRIORITY[dfh[way]] for way in ways]
 
     def fill_priority_is_uniform(self, set_index: int) -> bool:
         if not self.config.priority_replacement:

@@ -10,6 +10,17 @@ simulates an arbitrary access subsequence with full Killi semantics
 victim priorities) against copy-on-write state, then commits the net
 effect to the real cache/scheme structures in bulk.
 
+Each Killi event is stated once, mirroring
+:class:`~repro.core.killi.KilliScheme` and the write-through cache:
+:meth:`KilliClusterInterpreter._allocate` (victim choice, fill, ECC
+insert), :meth:`~KilliClusterInterpreter._handle_ecc_eviction`
+(contention eviction), :meth:`~KilliClusterInterpreter._on_evict`
+(eviction training), :meth:`~KilliClusterInterpreter._read_hit` and
+:meth:`~KilliClusterInterpreter._classify` (Table 2, with the
+read-hit fast-clean shortcut).  :meth:`~KilliClusterInterpreter.run`
+only dispatches accesses to them; its one shortcut is the clean
+b'00 read hit, which reads the shadow and real state directly.
+
 Why clusters
 ------------
 ECC-cache contention couples L2 sets: an insert into ECC set ``c`` can
@@ -64,10 +75,8 @@ from __future__ import annotations
 
 from bisect import insort
 
-import numpy as np
-
 from repro.cache.soa import bulk_apply_set_replays, export_set_state
-from repro.core.dfh import Dfh, DfhAction, classify_cached
+from repro.core.dfh import FILL_PRIORITY, Dfh, DfhAction, classify_cached
 from repro.core.linestate import Signals
 from repro.metrics import METRICS
 from repro.testing.invariants import (
@@ -83,14 +92,30 @@ _INI = int(Dfh.INITIAL)
 _S1 = int(Dfh.STABLE_1)
 _DIS = int(Dfh.DISABLED)
 
-#: fill priority per DFH value (must match KilliScheme._PRIORITY).
-#: INITIAL's priority (2) is the global maximum, so victim scans may
-#: stop at the first INITIAL way: first-max tie-breaking cannot prefer
-#: a later way once the maximum has been seen.
-_PRIORITY = (1, 2, 0, 0)
-_PRIO_MAX = 2
+#: No way outranks the first one found at the top fill priority.
+_PRIO_MAX = max(FILL_PRIORITY)
+
+
+def _occupancy(value: int) -> tuple:
+    """The per-set DFH counters (``KilliScheme._off_initial_in_set``,
+    ``_unstable_in_set``, ``_dfh_disabled_in_set``) a line in state
+    ``value`` counts toward."""
+    return (value != _INI, value == _INI or value == _S1, value == _DIS)
+
+
+#: Per flat transition ``old << 2 | new``: the deltas of those three
+#: counters.
+_OCCUPANCY_DELTA = tuple(
+    tuple(int(b) - int(a) for a, b in zip(_occupancy(old), _occupancy(new)))
+    for old in range(4)
+    for new in range(4)
+)
 
 _CLEAN_SIG = Signals(0, True, True)
+
+#: Table 2 under clean signals, per accessible DFH value: what a
+#: fast-clean line classifies to (b'00, send clean).
+_CLEAN_CLS = tuple(classify_cached(v, 0, True, True) for v in (_S0, _INI, _S1))
 
 #: Shadow row events per slot (``_Txn.slot_state``); a value >= 0 is
 #: the salt of a predicted fill.
@@ -137,8 +162,6 @@ class _SetShadow:
         "off_d",
         "uns_d",
         "dis_d",
-        "triv",
-        "quiet",
     )
 
 
@@ -171,9 +194,8 @@ class _Txn:
         self.trans = [0] * 16  # flat (old << 2 | new) transition counts
         self.slot_state: dict = {}
         self.rows: dict = {}
-        # Shadow ECC keys as flat slot ints (set * assoc + way): the
-        # hot paths already have the slot in hand, so membership tests
-        # are int compares with no tuple allocation.
+        # Shadow ECC keys as flat slot ints (set * assoc + way), most
+        # recently used first.
         self.ecc_entries = ecc_entries
         for name in _COUNTERS:
             setattr(self, name, 0)
@@ -215,23 +237,6 @@ class KilliClusterInterpreter:
         self._lat_miss = cache._lat_miss
         self._lat_tag = cache._lat_tag
         self._act_off = None
-        # Per-slot purity bitmap: pure[slot] == 1 iff the slot is
-        # STABLE_0 with an empty real error vector, so a read hit on it
-        # is a pure LRU touch (serve clean, no classification, no
-        # transition).  Kept in sync across kernels: commits refresh
-        # exactly the slots whose DFH or error rows they changed, and
-        # external error injections drop the whole map through the
-        # chained mutation hook.  Within a transaction the bitmap is
-        # only trusted for slots with no shadow row events.
-        self._pure = None
-        prev_hook = self._errors.external_mutation_hook
-
-        def _on_external_mutation(*args):
-            self._pure = None
-            if prev_hook is not None:
-                prev_hook(*args)
-
-        self._errors.external_mutation_hook = _on_external_mutation
         # Armed invariants (REPRO_CHECK_INVARIANTS): the shared RNG
         # stream position is marked at the start of every segment —
         # run entry, and right after each scheduled write-hit draw —
@@ -251,21 +256,8 @@ class KilliClusterInterpreter:
         """Revalidate the voltage-keyed state before a kernel runs."""
         errors = self._errors
         offsets = errors._act_offsets
-        if offsets is None:
-            offsets = errors._ensure_active()
-        if offsets is not self._act_off:
-            # A voltage change rebuilds the active-fault CSR.
-            self._act_off = offsets
-            self._pure = None
-        if self._pure is None:
-            dirty = np.asarray(errors._weights) != 0
-            # A plain list, not a numpy array: the hot loop reads one
-            # slot per hit and list indexing is the cheapest form.
-            self._pure = (
-                ((self._scheme._dfh_np == _S0) & ~dirty)
-                .astype(np.uint8)
-                .tolist()
-            )
+        # A voltage change rebuilds the active-fault CSR.
+        self._act_off = offsets if offsets is not None else errors._ensure_active()
 
     def _rng_state(self) -> str:
         return repr(self._errors.rng.bit_generator.state)
@@ -304,132 +296,49 @@ class KilliClusterInterpreter:
             st.disabled = set()
         # Per-way DFH values as a plain list: the overlay dict never
         # holds a slot before its set materializes (every write goes
-        # through _set_dfh, which needs the shadow), so the real array
-        # is authoritative here; _set_dfh keeps the copy in sync.
+        # through _classify, which needs the shadow), so the real array
+        # is authoritative here; _classify keeps the copy in sync.
         base = set_index * self._assoc
         st.dfh = self._scheme._dfh_np[base : base + self._assoc].tolist()
         st.off_d = 0
         st.uns_d = 0
         st.dis_d = 0
-        st.quiet, st.triv = self._probe_set(set_index)
         self._tx.sets[set_index] = st
         return st
 
-    def _probe_set(self, set_index: int):
-        """``(quiet, triv)`` micro-fast-path flags of a set.
-
-        ``quiet``: no slot in the set has active LV faults or a dirty
-        real error vector.  Both are fixed for the whole transaction
-        (the CSR only changes with voltage, real rows only at commit),
-        and a quiet set can never acquire shadow row events — every
-        track_fill/track_clear on it is a no-op.
-
-        ``triv``: quiet, and additionally every way is STABLE_0 (or
-        DISABLED) with no ECC-cache entry pointing at the set.  Such a
-        set replays as pure dict-LRU: accesses have no scheme effect
-        beyond ``hits_served``.  Trivality is monotone within a
-        transaction (fills stay STABLE_0 and insert nothing); a quiet
-        set whose last unstable way reclassifies to STABLE_0 mid-run
-        is *upgraded* to triv at that transition (see ``_set_dfh``).
-        Shadow ECC state is authoritative — the whole servicing ECC
-        set belongs to this cluster.
-        """
-        base = set_index * self._assoc
-        stop = base + self._assoc
-        act = self._act_off
-        quiet = act[stop] <= act[base] and not self._errors.dirty_in_range(
-            base, stop
-        )
-        if not quiet or self._scheme._unstable_in_set[set_index]:
-            return quiet, False
-        for key in self._tx.ecc_entries:
-            if base <= key < stop:
-                return quiet, False
-        return quiet, True
-
-    def _set_dfh(self, st: _SetShadow, slot: int, old: int, new: int) -> None:
-        if old == new:
+    def _drop_way(self, st: _SetShadow, way: int, disable: bool) -> None:
+        """Take ``way`` out of the set: invalid (back to ``free``) or
+        disabled."""
+        line = st.way_lines[way]
+        if line >= 0:
+            del st.resident[line]
+            st.way_lines[way] = -1
+        if not disable:
+            insort(st.free, way)
             return
-        # Conservative: any transition drops purity; the commit fixup
-        # (and the fast-clean hit path) restore it exactly.
-        self._pure[slot] = 0
-        self._tx.dfh_over[slot] = new
-        st.dfh[slot % self._assoc] = new
-        if old == _INI:
-            st.off_d += 1
-        elif new == _INI:
-            st.off_d -= 1
-        if (old == _INI or old == _S1) != (new == _INI or new == _S1):
-            st.uns_d += 1 if (new == _INI or new == _S1) else -1
-        if old == _DIS:
-            st.dis_d -= 1
-        elif new == _DIS:
-            st.dis_d += 1
-        self._tx.trans[(old << 2) | new] += 1
-        if new == _S0 and st.quiet and not st.triv:
-            # A quiet set whose last unstable way just stabilised (and
-            # that holds no ECC entry) is pure dict-LRU from here on.
-            assoc = self._assoc
-            set_index = slot // assoc
-            if self._scheme._unstable_in_set[set_index] + st.uns_d == 0:
-                base = set_index * assoc
-                stop = base + assoc
-                for key in self._tx.ecc_entries:
-                    if base <= key < stop:
-                        break
-                else:
-                    st.triv = True
+        if line < 0 and way in st.free:
+            st.free.remove(way)
+        st.disabled.add(way)
 
-    # -- shadow ECC cache --------------------------------------------------
+    # -- shadow ECC cache (slot keys, most recently used first) ------------
 
-    def _ecc_contains(self, set_index: int, way: int) -> bool:
-        return set_index * self._assoc + way in self._tx.ecc_entries
-
-    def _ecc_touch(self, set_index: int, way: int) -> None:
+    def _ecc_touch(self, slot: int) -> None:
         self._tx.ecc_acc += 1
         entries = self._tx.ecc_entries
-        key = set_index * self._assoc + way
-        entries.remove(key)
-        entries.insert(0, key)
+        entries.remove(slot)
+        entries.insert(0, slot)
 
-    def _ecc_insert(self, set_index: int, way: int):
-        """Insert; returns the evicted slot key or None."""
-        self._tx.ecc_acc += 1
+    def _ecc_remove(self, slot: int) -> None:
         entries = self._tx.ecc_entries
-        key = set_index * self._assoc + way
-        if key in entries:
-            raise ValueError(f"ECC entry for slot {key} already present")
-        self._tx.ecc_alloc += 1
-        evicted = None
-        if len(entries) >= self._ecc_assoc:
-            evicted = entries.pop()
-            self._tx.ecc_evict += 1
-        entries.insert(0, key)
-        return evicted
-
-    def _ecc_remove(self, set_index: int, way: int) -> None:
-        key = set_index * self._assoc + way
-        entries = self._tx.ecc_entries
-        if key in entries:
-            entries.remove(key)
+        if slot in entries:
+            entries.remove(slot)
 
     # -- shadow error model ------------------------------------------------
 
-    def _has_active(self, slot: int) -> bool:
-        act = self._act_off
-        return act[slot + 1] > act[slot]
-
-    def _track_fill(self, slot: int, salt: int) -> None:
-        """Shadow ``errors.on_fill``; untracked no-op fills stay no-ops."""
-        state = self._tx.slot_state
-        if self._has_active(slot):
-            state[slot] = salt
-        elif slot in state or self._errors.is_dirty(slot):
-            state[slot] = _CLEARED
-
     def _track_clear(self, slot: int) -> None:
+        """Shadow ``errors.clear``; untracked no-op clears stay no-ops."""
         state = self._tx.slot_state
-        if slot in state or self._errors.is_dirty(slot):
+        if slot in state or self._errors._weights[slot]:
             state[slot] = _CLEARED
 
     def _shadow(self, slot: int, event: int) -> list:
@@ -482,45 +391,46 @@ class KilliClusterInterpreter:
         if check:
             self._rng_mark = self._rng_state()
 
-    def _is_dirty(self, slot: int) -> bool:
-        salt = self._tx.slot_state.get(slot)
-        if salt is None:
-            return self._errors.is_dirty(slot)
-        return self._row_of(slot, salt) is not None
-
     def _fast_clean(self, slot: int, value: int) -> bool:
-        if self._is_dirty(slot):
+        """Shadow ``KilliScheme._fast_clean``: does the slot classify
+        clean under DFH ``value`` without deriving signals?"""
+        event = self._tx.slot_state.get(slot)
+        if event is None:
+            if self._errors._weights[slot]:
+                return False
+        elif self._row_of(slot, event) is not None:
             return False
         if value == _INI and self._iwt and self._fault_map.has_faults(slot):
             return not self._has_observable(slot)
         return True
 
     def _has_observable(self, slot: int) -> bool:
-        salt = self._tx.slot_state.get(slot)
-        if salt is None:
+        event = self._tx.slot_state.get(slot)
+        if event is None:
             return self._errors.has_observable_faults(slot)
-        if self._row_of(slot, salt) is not None:
+        if self._row_of(slot, event) is not None:
             return True
         if not self._fault_map.has_faults(slot):
             return False
-        return self._has_active(slot)
+        act = self._act_off
+        return act[slot + 1] > act[slot]
 
     def _signals(self, slot: int, value: int) -> Signals:
         """Read signals of ``slot`` under DFH ``value``, from the shadow
         row when the slot is tracked (memoized per DFH value in its
         record: each value fixes the parity configuration)."""
         obs = value == _INI and self._iwt
-        salt = self._tx.slot_state.get(slot)
-        if salt is None:
+        event = self._tx.slot_state.get(slot)
+        if event is None:
             errors = self._errors
             if obs:
                 return errors.observable_signals(slot, self._train_segs)
             if value == _INI:
                 return errors.signals(slot, self._train_segs, True)
             return errors.signals(slot, self._stable_segs, value == _S1)
-        if salt == _CLEARED and not obs:
+        if event == _CLEARED and not obs:
             return _CLEAN_SIG
-        rec = self._shadow(slot, salt)
+        rec = self._shadow(slot, event)
         sig = rec[2 + value]
         if sig is None:
             row = rec[1]
@@ -542,206 +452,189 @@ class KilliClusterInterpreter:
         return sig
 
     def _correction_sound(self, slot: int) -> bool:
-        salt = self._tx.slot_state.get(slot)
-        if salt is None:
+        event = self._tx.slot_state.get(slot)
+        if event is None:
             return self._errors.correction_is_sound(slot)
-        row = self._row_of(slot, salt)
+        row = self._row_of(slot, event)
         if row is None:
             return True
         return self._errors.row_correction_is_sound(row)
 
     def _has_data_errors(self, slot: int) -> bool:
-        salt = self._tx.slot_state.get(slot)
-        if salt is None:
+        event = self._tx.slot_state.get(slot)
+        if event is None:
             return self._errors.has_data_errors(slot)
-        row = self._row_of(slot, salt)
+        row = self._row_of(slot, event)
         if row is None:
             return False
         return self._errors.row_has_data_errors(row)
 
     # -- scheme semantics (mirrors KilliScheme / WriteThroughCache) --------
 
-    def _uniform(self, st: _SetShadow, set_index: int) -> bool:
-        if not self._prio_repl:
-            return True
-        return self._scheme._off_initial_in_set[set_index] + st.off_d == 0
+    def _classify(self, st: _SetShadow, slot: int, value: int):
+        """Table 2 on the slot's shadow contents under DFH ``value``;
+        applies the DFH transition (``KilliScheme._set_dfh``) and
+        returns the classification.
 
-    def _classify_hit(
-        self, st: _SetShadow, set_index: int, way: int, slot: int, value: int
-    ) -> int:
-        """Full Table 2 read-hit path; returns 0 CLEAN, 1 CORRECTED,
-        2 retrain miss, 3 disable miss (as `_apply_classification`)."""
-        sig = self._signals(slot, value)
-        cls = classify_cached(
-            value, sig.sp_mismatches, sig.syndrome_zero, sig.global_parity_ok
-        )
-        nxt = int(cls.next_dfh)
-        if cls.free_ecc_entry:
-            # Before the transition: the triv-upgrade probe in
-            # _set_dfh must see the freed entry.
-            self._ecc_remove(set_index, way)
-        self._set_dfh(st, slot, value, nxt)
+        A fast-clean slot skips the signal derivation: clean signals
+        classify every accessible state to b'00, send clean.
+        """
+        if self._fast_clean(slot, value):
+            cls = _CLEAN_CLS[value]
+        else:
+            sig = self._signals(slot, value)
+            cls = classify_cached(
+                value, sig.sp_mismatches, sig.syndrome_zero, sig.global_parity_ok
+            )
+        new = int(cls.next_dfh)
+        if new != value:
+            tx = self._tx
+            key = (value << 2) | new
+            tx.trans[key] += 1
+            tx.dfh_over[slot] = new
+            st.dfh[slot % self._assoc] = new
+            d_off, d_uns, d_dis = _OCCUPANCY_DELTA[key]
+            st.off_d += d_off
+            st.uns_d += d_uns
+            st.dis_d += d_dis
+        return cls
+
+    def _read_hit(self, st: _SetShadow, slot: int, value: int) -> int:
+        """Read-hit classification (``_apply_classification``); returns
+        0 CLEAN, 1 CORRECTED, 2 retrain miss, 3 disable miss."""
+        tx = self._tx
+        cls = self._classify(st, slot, value)
+        if cls.free_ecc_entry or cls.action is DfhAction.ERROR_MISS:
+            self._ecc_remove(slot)
         if cls.action is DfhAction.ERROR_MISS:
-            self._ecc_remove(set_index, way)
             self._track_clear(slot)
-            return 3 if nxt == _DIS else 2
-        self._tx.hits_served += 1
+            return 3 if cls.next_dfh is Dfh.DISABLED else 2
+        tx.hits_served += 1
         if cls.action is DfhAction.CORRECT_AND_SEND:
             if not self._correction_sound(slot):
-                self._tx.sdc += 1
-            self._tx.ecc_corrections += 1
-            if self._ecc_contains(set_index, way):
-                self._ecc_touch(set_index, way)
+                tx.sdc += 1
+            tx.ecc_corrections += 1
+            if slot in tx.ecc_entries:
+                self._ecc_touch(slot)
             return 1
         if self._has_data_errors(slot):
-            self._tx.sdc += 1
-        if (nxt == _INI or nxt == _S1) and self._ecc_contains(set_index, way):
-            self._ecc_touch(set_index, way)
+            tx.sdc += 1
+        if (
+            cls.next_dfh is Dfh.INITIAL or cls.next_dfh is Dfh.STABLE_1
+        ) and slot in tx.ecc_entries:
+            self._ecc_touch(slot)
         return 0
 
-    def _invalidate_line(self, st: _SetShadow, set_index: int, way: int) -> None:
+    def _invalidate_line(self, st: _SetShadow, slot: int) -> None:
         """Shadow ``cache.invalidate_line(..., reason="ecc_evict")``."""
-        line = st.way_lines[way]
-        if line < 0:
+        way = slot % self._assoc
+        if st.way_lines[way] < 0:
             return
-        del st.resident[line]
-        st.way_lines[way] = -1
-        insort(st.free, way)
+        self._drop_way(st, way, False)
         self._tx.invalidations += 1
         self._tx.ecc_evict_inval += 1
-        self._ecc_remove(set_index, way)
-        self._track_clear(set_index * self._assoc + way)
+        self._ecc_remove(slot)
+        self._track_clear(slot)
 
-    def _handle_ecc_eviction(self, set_index: int, way: int) -> None:
-        st = self._tx.sets.get(set_index)
+    def _handle_ecc_eviction(self, slot: int) -> None:
+        """A line lost its ECC entry to contention: classify it on the
+        way out (``KilliScheme._handle_ecc_eviction``)."""
+        tx = self._tx
+        set_index, way = divmod(slot, self._assoc)
+        st = tx.sets.get(set_index)
         if st is None:
             st = self._materialize(set_index)
-        # An entry pointed at this set, so it was never trivial; keep
-        # the flag honest even if a future refactor relaxes that.
-        st.triv = False
-        slot = set_index * self._assoc + way
         value = st.dfh[way]
         if value == _S0:
             if self._has_data_errors(slot):
-                self._tx.sdc += 1
-            self._invalidate_line(st, set_index, way)
+                tx.sdc += 1
+            self._invalidate_line(st, slot)
             return
         if value != _INI and value != _S1:
             raise AssertionError("ECC entry existed for an unprotected line")
-        if self._fast_clean(slot, value):
-            self._set_dfh(st, slot, value, _S0)
-            self._tx.reclass_clean += 1
-            return
-        sig = self._signals(slot, value)
-        cls = classify_cached(
-            value, sig.sp_mismatches, sig.syndrome_zero, sig.global_parity_ok
-        )
-        nxt = int(cls.next_dfh)
-        self._set_dfh(st, slot, value, nxt)
-        if nxt == _S0:
-            self._tx.reclass_clean += 1
-            return
-        if nxt == _DIS:
-            line = st.way_lines[way]
-            if line >= 0:
-                del st.resident[line]
-                st.way_lines[way] = -1
-            elif way in st.free:
-                st.free.remove(way)
-            st.disabled.add(way)
-            self._tx.evict_disables += 1
+        nxt = self._classify(st, slot, value).next_dfh
+        if nxt is Dfh.STABLE_0:
+            tx.reclass_clean += 1
+        elif nxt is Dfh.DISABLED:
+            self._drop_way(st, way, True)
+            tx.evict_disables += 1
             self._track_clear(slot)
-            return
-        self._invalidate_line(st, set_index, way)
+        else:
+            self._invalidate_line(st, slot)
 
-    def _on_evict(self, st: _SetShadow, set_index: int, way: int) -> None:
-        slot = set_index * self._assoc + way
+    def _on_evict(self, st: _SetShadow, slot: int) -> None:
+        """Eviction training (paper 4.4) and per-content state drop."""
+        way = slot % self._assoc
         value = st.dfh[way]
-        # Remove before any transition so the triv-upgrade probe in
-        # _set_dfh sees the freed entry.
-        self._ecc_remove(set_index, way)
         if value == _INI and self._train_on_evict:
-            if self._fast_clean(slot, value):
-                self._set_dfh(st, slot, value, _S0)
-            else:
-                sig = self._signals(slot, value)
-                cls = classify_cached(
-                    value,
-                    sig.sp_mismatches,
-                    sig.syndrome_zero,
-                    sig.global_parity_ok,
-                )
-                nxt = int(cls.next_dfh)
-                self._set_dfh(st, slot, value, nxt)
-                if nxt == _DIS:
-                    line = st.way_lines[way]
-                    del st.resident[line]
-                    st.way_lines[way] = -1
-                    st.disabled.add(way)
+            if self._classify(st, slot, value).next_dfh is Dfh.DISABLED:
+                self._drop_way(st, way, True)
+        self._ecc_remove(slot)
         self._track_clear(slot)
 
-    def _on_fill(self, st: _SetShadow, set_index: int, way: int, line: int) -> None:
-        slot = set_index * self._assoc + way
-        value = st.dfh[way]
+    def _allocate(self, st: _SetShadow, set_index: int, line: int) -> bool:
+        """Fill ``line`` into the set: the cache's victim choice plus
+        ``KilliScheme.on_fill``.  False when no way can take it (bypass).
+
+        Invalid enabled ways come first — the lowest one, or under
+        priority replacement the first of the highest DFH fill
+        priority — then the LRU resident line, whose eviction training
+        may disable it (choose again).
+        """
+        tx = self._tx
+        base = set_index * self._assoc
+        resident = st.resident
+        free = st.free
+        while True:
+            if free:
+                victim = free[0]
+                if self._prio_repl and (
+                    self._scheme._off_initial_in_set[set_index] + st.off_d
+                ):
+                    dfh = st.dfh
+                    best = -1
+                    for way in free:  # first-max tie-break
+                        prio = FILL_PRIORITY[dfh[way]]
+                        if prio > best:
+                            best = prio
+                            victim = way
+                            if prio == _PRIO_MAX:
+                                break
+                free.remove(victim)
+                break
+            if not resident:
+                return False
+            vline, victim = next(iter(resident.items()))
+            tx.evictions += 1
+            self._on_evict(st, base + victim)
+            if victim not in st.disabled:
+                del resident[vline]
+                break
+        st.way_lines[victim] = line
+        resident[line] = victim
+        tx.fills += 1
+        slot = base + victim
+        value = st.dfh[victim]
         if value == _DIS:
             raise AssertionError("fill into a disabled line")
-        self._track_fill(slot, line // self._n_sets)
+        # errors.on_fill: the row follows from the (slot, tag) coins.
+        act = self._act_off
+        if act[slot + 1] > act[slot]:
+            tx.slot_state[slot] = line // self._n_sets
+        else:
+            self._track_clear(slot)
         if value == _INI or value == _S1:
-            evicted = self._ecc_insert(set_index, way)
-            if evicted is not None:
-                assoc = self._assoc
-                self._handle_ecc_eviction(evicted // assoc, evicted % assoc)
-
-    def _choose_victim(self, st: _SetShadow, set_index: int):
-        resident = st.resident
-        if not st.disabled:
-            if len(resident) == self._assoc:
-                return next(iter(resident.values())), True
-            if self._uniform(st, set_index):
-                return st.free[0], False
-        elif len(st.disabled) == self._assoc:
-            return None, False
-        invalid = st.free  # invalid enabled ways, ascending (both branches)
-        if invalid:
-            if self._uniform(st, set_index):
-                return invalid[0], False
-            dfh_local = st.dfh
-            prio = _PRIORITY
-            best_way = invalid[0]
-            best_p = -1
-            for way in invalid:
-                p = prio[dfh_local[way]]
-                if p > best_p:  # first-max tie-break
-                    best_p = p
-                    best_way = way
-                    if p == _PRIO_MAX:
-                        break
-            return best_way, False
-        if not resident:
-            return None, False
-        return next(iter(resident.values())), True
-
-    def _allocate(self, st: _SetShadow, set_index: int, line: int):
-        for _ in range(self._assoc):
-            victim, has_data = self._choose_victim(st, set_index)
-            if victim is None:
-                return None
-            if has_data:
-                self._tx.evictions += 1
-                self._on_evict(st, set_index, victim)
-                if victim in st.disabled:
-                    continue  # training disabled the victim: retry
-                vline = st.way_lines[victim]
-                del st.resident[vline]
-                st.way_lines[victim] = -1
-            else:
-                st.free.remove(victim)
-            st.way_lines[victim] = line
-            st.resident[line] = victim
-            self._tx.fills += 1
-            self._on_fill(st, set_index, victim, line)
-            return victim
-        return None
+            # ECC insert; a full ECC set evicts its LRU entry.
+            entries = tx.ecc_entries
+            tx.ecc_acc += 1
+            if slot in entries:
+                raise ValueError(f"ECC entry for slot {slot} already present")
+            tx.ecc_alloc += 1
+            entries.insert(0, slot)
+            if len(entries) > self._ecc_assoc:
+                tx.ecc_evict += 1
+                self._handle_ecc_eviction(entries.pop())
+        return True
 
     # -- transaction driver ------------------------------------------------
 
@@ -772,30 +665,16 @@ class KilliClusterInterpreter:
         self._tx = tx
         if self._check_invariants:
             self._rng_mark = self._rng_state()
-        n_sets = self._n_sets
         sets = tx.sets
         act = self._act_off
-        pure = self._pure
         slot_state = tx.slot_state
-        slot_get = slot_state.get
+        ecc_entries = tx.ecc_entries
         # The weights list is only ever rebuilt by clear_all, which
         # cannot run inside a transaction, so the identity is stable
         # here; the commit replays row events through the real model
         # only after the loop exits.
         weights = self._errors._weights
-        row_of = self._row_of
-        iwt = self._iwt
-        fm_has_faults = self._fault_map.has_faults
         allocate = self._allocate
-        materialize = self._materialize
-        ecc_entries = tx.ecc_entries
-        ecc_assoc = self._ecc_assoc
-        dfh_over = tx.dfh_over
-        trans = tx.trans
-        prio = _PRIORITY
-        prio_repl = self._prio_repl
-        off_init = self._scheme._off_initial_in_set
-        uns_mv = self._scheme._unstable_in_set
         lat_hit = self._lat_hit
         lat_tag = self._lat_tag
         lat_miss = self._lat_miss
@@ -805,9 +684,7 @@ class KilliClusterInterpreter:
         # deltas are additive, so helpers mutating the same _Txn
         # fields compose with the flush).
         d_reads = d_read_hits = d_read_misses = d_mem_reads = 0
-        d_writes = d_mem_writes = d_write_hits = d_write_misses = 0
-        d_hits_served = pure_hits = d_fills = 0
-        d_ecc_acc = d_ecc_alloc = d_ecc_evict = d_reclass = 0
+        d_writes = d_write_hits = d_hits_served = 0
         n = len(idxs)
         j = start
         while j < n:
@@ -817,50 +694,9 @@ class KilliClusterInterpreter:
             try:
                 st = sets[set_index]
             except KeyError:
-                st = materialize(set_index)
+                st = self._materialize(set_index)
             resident = st.resident
             way = resident.get(line)
-            if st.triv:
-                # Pure dict-LRU: no scheme dispatch, no row checks.
-                if stores[gi]:
-                    d_writes += 1
-                    d_mem_writes += 1
-                    if way is None:
-                        d_write_misses += 1
-                    else:
-                        d_write_hits += 1
-                        del resident[line]
-                        resident[line] = way
-                    lat[gi] = lat_tag
-                elif way is not None:
-                    d_reads += 1
-                    d_read_hits += 1
-                    d_hits_served += 1
-                    del resident[line]
-                    resident[line] = way
-                    lat[gi] = lat_hit
-                else:
-                    d_reads += 1
-                    d_read_misses += 1
-                    d_mem_reads += 1
-                    free = st.free
-                    if free:
-                        victim = free.pop(0)
-                    elif resident:
-                        vline, victim = next(iter(resident.items()))
-                        tx.evictions += 1
-                        del resident[vline]
-                    else:
-                        tx.bypasses += 1
-                        lat[gi] = lat_miss
-                        j += 1
-                        continue
-                    st.way_lines[victim] = line
-                    resident[line] = victim
-                    d_fills += 1
-                    lat[gi] = lat_miss
-                j += 1
-                continue
             if stores[gi]:
                 if way is not None:
                     slot = set_index * assoc + way
@@ -871,24 +707,16 @@ class KilliClusterInterpreter:
                         if j != resume:
                             break
                         self._reroll(slot)
-                    elif slot in slot_state or (
-                        not pure[slot] and weights[slot]
-                    ):
-                        slot_state[slot] = _CLEARED
-                    d_writes += 1
-                    d_mem_writes += 1
+                    else:
+                        # No active faults: the overwrite clears the row.
+                        self._track_clear(slot)
                     d_write_hits += 1
                     if slot in ecc_entries:
-                        # _ecc_touch, inline.
-                        d_ecc_acc += 1
-                        ecc_entries.remove(slot)
-                        ecc_entries.insert(0, slot)
+                        # New checkbits were stored: promote.
+                        self._ecc_touch(slot)
                     del resident[line]
                     resident[line] = way
-                else:
-                    d_writes += 1
-                    d_mem_writes += 1
-                    d_write_misses += 1
+                d_writes += 1
                 lat[gi] = lat_tag
                 j += 1
                 continue
@@ -896,149 +724,19 @@ class KilliClusterInterpreter:
             if way is None:
                 d_read_misses += 1
                 d_mem_reads += 1
-                free = st.free
-                if free:
-                    # Inline fill fast path: with an invalid enabled way
-                    # available the victim always comes from ``free``
-                    # (uniform -> lowest way, else the DFH-priority
-                    # scan), never from an eviction — the slow
-                    # _allocate path is only needed when the set is
-                    # full or fully disabled.
-                    if prio_repl and (off_init[set_index] + st.off_d) != 0:
-                        dfh_local = st.dfh
-                        victim = free[0]
-                        best_p = -1
-                        for w in free:
-                            p = prio[dfh_local[w]]
-                            if p > best_p:  # first-max tie-break
-                                best_p = p
-                                victim = w
-                                if p == 2:  # _PRIO_MAX
-                                    break
-                        free.remove(victim)
-                    else:
-                        victim = free.pop(0)
-                    st.way_lines[victim] = line
-                    resident[line] = victim
-                    d_fills += 1
-                    slot = set_index * assoc + victim
-                    value = st.dfh[victim]
-                    # _on_fill, inline (a free way is never DISABLED).
-                    if act[slot + 1] > act[slot]:
-                        slot_state[slot] = line // n_sets
-                    elif slot in slot_state or weights[slot]:
-                        slot_state[slot] = _CLEARED
-                    if value == _INI or value == _S1:
-                        d_ecc_acc += 1
-                        if slot in ecc_entries:
-                            raise ValueError(
-                                f"ECC entry for slot {slot} already present"
-                            )
-                        d_ecc_alloc += 1
-                        if len(ecc_entries) >= ecc_assoc:
-                            eslot = ecc_entries.pop()
-                            d_ecc_evict += 1
-                            ecc_entries.insert(0, slot)
-                            es = eslot // assoc
-                            ew = eslot - es * assoc
-                            est = sets.get(es)
-                            if est is None:
-                                est = materialize(es)
-                            est.triv = False
-                            evalue = est.dfh[ew]
-                            esalt = slot_get(eslot)
-                            if esalt is None:
-                                edirty = weights[eslot] != 0
-                            elif esalt == _CLEARED:
-                                edirty = False
-                            else:
-                                edirty = row_of(eslot, esalt) is not None
-                            if (
-                                edirty
-                                or (evalue != _INI and evalue != _S1)
-                                or (
-                                    iwt
-                                    and evalue == _INI
-                                    and fm_has_faults(eslot)
-                                )
-                            ):
-                                # Anything but the provably-clean
-                                # reclassify goes through the full
-                                # eviction handler.
-                                self._handle_ecc_eviction(es, ew)
-                            else:
-                                # Clean INITIAL/STABLE_1 -> STABLE_0
-                                # (_set_dfh + _fast_clean, inline).
-                                pure[eslot] = 0
-                                dfh_over[eslot] = _S0
-                                est.dfh[ew] = _S0
-                                if evalue == _INI:
-                                    est.off_d += 1
-                                est.uns_d -= 1
-                                trans[evalue << 2] += 1
-                                d_reclass += 1
-                                if (
-                                    est.quiet
-                                    and not est.triv
-                                    and uns_mv[es] + est.uns_d == 0
-                                ):
-                                    # Triv upgrade (see _set_dfh).
-                                    ebase = eslot - ew
-                                    estop = ebase + assoc
-                                    for k2 in ecc_entries:
-                                        if ebase <= k2 < estop:
-                                            break
-                                    else:
-                                        est.triv = True
-                        else:
-                            ecc_entries.insert(0, slot)
-                    lat[gi] = lat_miss
-                    j += 1
-                    continue
-                if allocate(st, set_index, line) is None:
+                if not allocate(st, set_index, line):
                     tx.bypasses += 1
                 lat[gi] = lat_miss
                 j += 1
                 continue
             slot = set_index * assoc + way
-            if pure[slot] and slot not in slot_state:
-                # Pure hit: STABLE_0 on a really-clean untracked slot —
-                # an LRU touch and nothing else.
-                pure_hits += 1
-                del resident[line]
-                resident[line] = way
-                lat[gi] = lat_hit
-                j += 1
-                continue
             value = st.dfh[way]
-            # _fast_clean, inline.
-            salt = slot_get(slot)
-            if salt is None:
-                dirty = weights[slot] != 0
-            elif salt == _CLEARED:
-                dirty = False
-            else:
-                dirty = row_of(slot, salt) is not None
-            if dirty:
-                clean = False
-            elif value != _INI or not iwt or not fm_has_faults(slot):
-                clean = True
-            else:
-                clean = not self._has_observable(slot)
-            if clean:
-                if value != _S0:
-                    # Remove before the transition so the triv-upgrade
-                    # probe in _set_dfh sees the freed entry.
-                    self._ecc_remove(set_index, way)
-                    self._set_dfh(st, slot, value, _S0)
-                # Shadow-clean and now STABLE_0; tracked slots are
-                # still fenced off the pure path by the slot_state
-                # guard until the commit fixup re-derives them.
-                pure[slot] = 1
-                d_hits_served += 1
+            if value == _S0 and not weights[slot] and slot not in slot_state:
+                # Clean b'00 hit: served as-is, an LRU touch.
                 outcome = 0
+                d_hits_served += 1
             else:
-                outcome = self._classify_hit(st, set_index, way, slot, value)
+                outcome = self._read_hit(st, slot, value)
             if outcome == 0:
                 d_read_hits += 1
                 del resident[line]
@@ -1052,32 +750,22 @@ class KilliClusterInterpreter:
                 lat[gi] = lat_corrected
             else:
                 tx.error_misses += 1
-                del resident[line]
-                st.way_lines[way] = -1
-                if outcome == 3:
-                    st.disabled.add(way)
-                else:
-                    insort(st.free, way)
+                self._drop_way(st, way, outcome == 3)
                 d_read_misses += 1
                 d_mem_reads += 1
-                if allocate(st, set_index, line) is None:
+                if not allocate(st, set_index, line):
                     tx.bypasses += 1
                 lat[gi] = lat_error
             j += 1
         tx.reads += d_reads
-        tx.read_hits += d_read_hits + pure_hits
+        tx.read_hits += d_read_hits
         tx.read_misses += d_read_misses
         tx.mem_reads += d_mem_reads
         tx.writes += d_writes
-        tx.mem_writes += d_mem_writes
+        tx.mem_writes += d_writes  # write-through: every write goes out
         tx.write_hits += d_write_hits
-        tx.write_misses += d_write_misses
-        tx.hits_served += d_hits_served + pure_hits
-        tx.fills += d_fills
-        tx.ecc_acc += d_ecc_acc
-        tx.ecc_alloc += d_ecc_alloc
-        tx.ecc_evict += d_ecc_evict
-        tx.reclass_clean += d_reclass
+        tx.write_misses += d_writes - d_write_hits
+        tx.hits_served += d_hits_served
         if self._check_invariants:
             self._check_rng_window()
         if j < n:
@@ -1184,16 +872,6 @@ class KilliClusterInterpreter:
                 errors.install_row(slot, rec[1])
             else:
                 errors.on_fill(slot, event)
-        # Purity fixup: re-derive the bitmap for exactly the slots
-        # whose DFH or error rows this transaction changed, from the
-        # now-committed real state.
-        pure = self._pure
-        dfh_mv = self._dfh_mv
-        is_dirty = errors.is_dirty
-        for slot in tx.dfh_over:
-            pure[slot] = 1 if dfh_mv[slot] == _S0 and not is_dirty(slot) else 0
-        for slot in tx.slot_state:
-            pure[slot] = 1 if dfh_mv[slot] == _S0 and not is_dirty(slot) else 0
         stats = cache.stats
         stats.reads += tx.reads
         stats.read_hits += tx.read_hits

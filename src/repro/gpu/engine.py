@@ -12,11 +12,15 @@ total instructions is Figure 5's metric.
 Two interchangeable inner loops implement the model:
 
 - ``engine="batched"`` (default): simulates each CU's private L1
-  stream in one pass, then partitions the L2-bound residue by L2 set
-  and replays every *scheme-inert* set through the batched set kernel
+  stream in one pass, then batches the L2-bound residue.  A scheme
+  with a batch interpreter (write-through Killi without soft errors,
+  :mod:`repro.core.killi_replay`) has the whole residue simulated per
+  ECC-contention cluster and committed in bulk, pausing only at
+  shared-RNG write hits, so none of its accesses fall back.  Other
+  schemes partition the residue by L2 set and replay every
+  *scheme-inert* set through the batched set kernel
   (:func:`~repro.cache.soa.replay_clean_set`) — no per-access Python
-  call at all; sets with scheme-relevant lines (faulty, disabled,
-  ECC-cache-resident, DFH-transitioning) fall back to the exact
+  call at all; sets with scheme-relevant lines fall back to the exact
   per-access path in original global order, as does the whole residue
   of a cache that refuses bulk replay.  Bank conflicts and the stats
   deltas are applied in bulk.

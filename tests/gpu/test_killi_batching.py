@@ -6,7 +6,8 @@ loop.  These tests pin the pieces that make that sound:
 
 - engine equivalence including the *scheme-side* state the
   generic matrix does not compare (DFH histogram, transition counts,
-  SDC events, ECC-cache counters);
+  SDC events, ECC-cache counters), under the non-default Killi
+  policies too, across kernels and with errors injected between them;
 - directed shared-RNG write hits that must pause the interpreter and
   run in the shadow at their global turn, bit-identically — alone and
   interleaved across two clusters — with the armed RNG-conservation
@@ -84,21 +85,37 @@ class TestInterpreterEquivalence:
     """
 
     CASES = [
-        ("xsbench", "killi_1:8", 21, 3000),
-        ("fft", "killi_1:8", 5, 2500),
-        ("comd", "killi_1:64", 7, 2500),
+        ("xsbench", "killi_1:8", 21, 3000, 0.625, {}),
+        ("fft", "killi_1:8", 5, 2500, 0.625, {}),
+        ("comd", "killi_1:64", 7, 2500, 0.625, {}),
+    ] + [
+        # The non-default Killi policies the interpreter branches on.
+        (workload, scheme_name, seed, 2500, voltage, {option: value})
+        for workload, scheme_name, seed, voltage in (
+            ("xsbench", "killi_1:8", 21, 0.625),
+            ("fft", "killi_1:64", 5, 0.6),
+        )
+        for option, value in (
+            ("inverted_write_training", True),
+            ("train_on_evict", False),
+            ("priority_replacement", False),
+        )
     ]
 
-    @pytest.mark.parametrize("workload,scheme_name,seed,accesses", CASES)
+    @pytest.mark.parametrize(
+        "workload,scheme_name,seed,accesses,voltage,scheme_config",
+        CASES,
+        ids=["-".join(map(str, case[:4] + tuple(case[5]))) for case in CASES],
+    )
     def test_scheme_state_bit_identical(
-        self, workload, scheme_name, seed, accesses
+        self, workload, scheme_name, seed, accesses, voltage, scheme_config
     ):
         from repro.scenario.config import cell_scenario
         from repro.testing.differential import diff_scenario, run_scenario
 
         scenario = cell_scenario(
-            workload, scheme_name, voltage=0.625, seed=seed,
-            accesses_per_cu=accesses,
+            workload, scheme_name, voltage=voltage, seed=seed,
+            accesses_per_cu=accesses, scheme_config=scheme_config,
         )
         reference = run_scenario(scenario, "scalar")
         histogram = reference.snapshot["scheme"]["dfh_histogram"]
@@ -130,6 +147,43 @@ class TestInterpreterEquivalence:
             )
 
         reference = run("scalar")
+        for engine in ENGINES[1:]:
+            assert run(engine) == reference, engine
+
+    def test_error_injection_between_kernels(self):
+        """Errors injected between kernels into clean b'00 lines must
+        reach the next kernel's batched hits: the interpreter reads the
+        real error rows and keeps no copy of them across kernels."""
+
+        def run(engine):
+            sim, scheme = build_sim(engine, "killi_1:8", 31)
+            rng = RngFactory(31)
+            first, second = (
+                workload_trace(
+                    "xsbench", 1200, n_cus=sim.config.n_cus,
+                    rng=rng.stream(f"trace/k{i}"),
+                )
+                for i in range(2)
+            )
+            sim.run(first)
+            tags = sim.l2.tags
+            assoc = sim.config.l2.associativity
+            errors = scheme.errors
+            injected = [
+                slot
+                for slot in range(sim.config.l2.n_lines)
+                if tags.is_valid(slot // assoc, slot % assoc)
+                and scheme.dfh[slot] == Dfh.STABLE_0
+                and not errors.is_dirty(slot)
+            ][:400]
+            for slot in injected:
+                errors.set_effective(slot, {5, 77})
+            sim.run(second)
+            return injected, sim.state_digest(), scheme.sdc_events
+
+        reference = run("scalar")
+        assert len(reference[0]) == 400
+        assert reference[2] > 0  # the second kernel read injected errors
         for engine in ENGINES[1:]:
             assert run(engine) == reference, engine
 
