@@ -6,7 +6,7 @@ reference implementation that stays in the tree:
 
 - ``sampler``   — Monte-Carlo coverage sampler throughput
   (:meth:`CoverageSampler.estimate` vs ``estimate_scalar``);
-- ``linestate`` — per-access line-signal latency (packed
+- ``linestate`` — per-access line-signal latency (int-row
   ``LineSignalKernel.signals_row`` and the memoized
   ``LineErrorModel.signals`` vs scalar ``signals_for_positions``);
 - ``cache_core`` — per-access latency of the unified transaction layer
@@ -167,7 +167,7 @@ def bench_linestate(accesses: int) -> dict:
     for line in lines:
         model.on_fill(line, salt=line)
     position_sets = [sorted(model.error_positions(line)) for line in lines]
-    packed_rows = [model._rows[line] for line in lines]
+    rows = [model.row(line) for line in lines]
 
     n = accesses
 
@@ -178,7 +178,7 @@ def bench_linestate(accesses: int) -> dict:
     def run_packed_row():
         kernel = model.kernel
         for i in range(n):
-            kernel.signals_row(packed_rows[i % len(lines)], 16, True)
+            kernel.signals_row(rows[i % len(lines)], 16, True)
 
     def run_memoized():
         for i in range(n):

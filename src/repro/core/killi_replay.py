@@ -66,7 +66,7 @@ Commit equivalences (vs the per-access reference path)
   event per slot.  A fill installs the row the interpreter already
   predicted for its ``(slot, salt)`` (or replays ``on_fill``), a clear
   replays ``clear`` and a write hit stores its re-rolled row — each
-  exactly the row, weight and signal-cache state the per-access
+  exactly the row and signal-cache state the per-access
   sequence would have left.  Slots whose events are no-ops (no active
   faults, clean row) are not tracked at all.
 """
@@ -338,33 +338,29 @@ class KilliClusterInterpreter:
     def _track_clear(self, slot: int) -> None:
         """Shadow ``errors.clear``; untracked no-op clears stay no-ops."""
         state = self._tx.slot_state
-        if slot in state or self._errors._weights[slot]:
+        if slot in state or self._errors._rows[slot]:
             state[slot] = _CLEARED
 
     def _shadow(self, slot: int, event: int) -> list:
         """Record ``[event, row, sig S0, sig INITIAL, sig STABLE_1]`` of
         a tracked slot's last shadow event.
 
-        ``row`` is the packed row the event leaves (None = clean): the
-        deterministic fill prediction for a salt, None for a clear, the
+        ``row`` is the error row the event leaves (0 = clean): the
+        deterministic fill prediction for a salt, 0 for a clear, the
         re-rolled row for a write hit.  The signal slots memoize
         :meth:`_signals` per DFH value.
         """
         rows = self._tx.rows
         rec = rows.get(slot)
         if rec is None or rec[0] != event:
-            row = (
-                self._errors.predicted_fill_row(slot, event)
-                if event >= 0
-                else None
-            )
+            row = self._errors.predicted_fill_row(slot, event) if event >= 0 else 0
             rec = rows[slot] = [event, row, None, None, None]
         return rec
 
-    def _row_of(self, slot: int, event: int):
-        """Shadow packed row of a tracked slot (None = clean)."""
+    def _row_of(self, slot: int, event: int) -> int:
+        """Shadow error row of a tracked slot (0 = clean)."""
         if event == _CLEARED:
-            return None
+            return 0
         return self._shadow(slot, event)[1]
 
     def _reroll(self, slot: int) -> None:
@@ -385,9 +381,8 @@ class KilliClusterInterpreter:
             base = errors._rows[slot]
         else:
             base = self._row_of(slot, event)
-        row = errors.rerolled_row(slot, base)
         tx.slot_state[slot] = _ROLLED
-        tx.rows[slot] = [_ROLLED, row if row.any() else None, None, None, None]
+        tx.rows[slot] = [_ROLLED, errors.rerolled_row(slot, base), None, None, None]
         if check:
             self._rng_mark = self._rng_state()
 
@@ -396,9 +391,9 @@ class KilliClusterInterpreter:
         clean under DFH ``value`` without deriving signals?"""
         event = self._tx.slot_state.get(slot)
         if event is None:
-            if self._errors._weights[slot]:
+            if self._errors._rows[slot]:
                 return False
-        elif self._row_of(slot, event) is not None:
+        elif self._row_of(slot, event):
             return False
         if value == _INI and self._iwt and self._fault_map.has_faults(slot):
             return not self._has_observable(slot)
@@ -408,7 +403,7 @@ class KilliClusterInterpreter:
         event = self._tx.slot_state.get(slot)
         if event is None:
             return self._errors.has_observable_faults(slot)
-        if self._row_of(slot, event) is not None:
+        if self._row_of(slot, event):
             return True
         if not self._fault_map.has_faults(slot):
             return False
@@ -437,14 +432,12 @@ class KilliClusterInterpreter:
             kernel = self._errors.kernel
             if obs:
                 row = self._errors.predicted_observable_row(slot, row)
-                if not row.any():
-                    row = None
                 segments, use_ecc = self._train_segs, True
             elif value == _INI:
                 segments, use_ecc = self._train_segs, True
             else:
                 segments, use_ecc = self._stable_segs, value == _S1
-            if row is None:
+            if not row:
                 sig = _CLEAN_SIG
             else:
                 sig = Signals(*kernel.signals_row(row, segments, use_ecc))
@@ -455,19 +448,13 @@ class KilliClusterInterpreter:
         event = self._tx.slot_state.get(slot)
         if event is None:
             return self._errors.correction_is_sound(slot)
-        row = self._row_of(slot, event)
-        if row is None:
-            return True
-        return self._errors.row_correction_is_sound(row)
+        return self._errors.row_correction_is_sound(self._row_of(slot, event))
 
     def _has_data_errors(self, slot: int) -> bool:
         event = self._tx.slot_state.get(slot)
         if event is None:
             return self._errors.has_data_errors(slot)
-        row = self._row_of(slot, event)
-        if row is None:
-            return False
-        return self._errors.row_has_data_errors(row)
+        return self._errors.row_has_data_errors(self._row_of(slot, event))
 
     # -- scheme semantics (mirrors KilliScheme / WriteThroughCache) --------
 
@@ -669,11 +656,9 @@ class KilliClusterInterpreter:
         act = self._act_off
         slot_state = tx.slot_state
         ecc_entries = tx.ecc_entries
-        # The weights list is only ever rebuilt by clear_all, which
-        # cannot run inside a transaction, so the identity is stable
-        # here; the commit replays row events through the real model
-        # only after the loop exits.
-        weights = self._errors._weights
+        # The real rows change only through the commit, which replays
+        # row events through the model after the loop exits.
+        rows = self._errors._rows
         allocate = self._allocate
         lat_hit = self._lat_hit
         lat_tag = self._lat_tag
@@ -731,7 +716,7 @@ class KilliClusterInterpreter:
                 continue
             slot = set_index * assoc + way
             value = st.dfh[way]
-            if value == _S0 and not weights[slot] and slot not in slot_state:
+            if value == _S0 and not rows[slot] and slot not in slot_state:
                 # Clean b'00 hit: served as-is, an LRU touch.
                 outcome = 0
                 d_hits_served += 1
@@ -858,7 +843,7 @@ class KilliClusterInterpreter:
         ecc.evictions += tx.ecc_evict
         # Error rows: install the last event per slot.  A row the
         # shadow already derived for that event (a fill prediction —
-        # same coins, same packing — or a write-hit re-roll) is exactly
+        # the same coins — or a write-hit re-roll) is exactly
         # what on_fill / on_write_hit would store; a fill never read in
         # the shadow replays on_fill itself.
         errors = self._errors

@@ -17,14 +17,18 @@ fair coin ("masked fault" when the coin lands on equal).  So:
   deterministic — exactly the persistence property the paper exploits;
 - soft errors XOR extra positions into the vector.
 
-Error vectors are stored as **packed uint64 bitmask rows** in one
-preallocated ``(n_lines, words)`` matrix; deriving the signals for a
-read is then a handful of masked popcounts against the precomputed
-tables of :class:`repro.kernels.LineSignalKernel` (and, because the
-vector only changes on fills/writes/soft errors, repeated reads hit a
-per-line memo).  The scalar set-walking path survives as
+Each line's error vector is one Python ``int`` *row* — bit ``o`` set
+iff LV offset ``o`` reads back wrong, 0 for a clean line — held in a
+plain list indexed by physical line id.  A line carries a handful of
+flipped bits, so every row event (the fill's masking coins, a write
+hit's re-roll, soft-error XORs, region counts) is a few integer
+operations, and deriving the signals for a read folds the row's set
+bits through the signature table of
+:class:`repro.kernels.LineSignalKernel` (because the vector only
+changes on fills/writes/soft errors, repeated reads hit a per-line
+memo).  The scalar set-walking path survives as
 :meth:`LineErrorModel.signals_for_positions` — the pinned reference
-the equivalence tests compare the packed path against.
+the equivalence tests compare the row path against.
 
 This is exact with respect to the bit-accurate data path (see
 :mod:`repro.core.datapath`, cross-validated in the test suite) and
@@ -42,7 +46,6 @@ from repro.core.layout import LineLayout
 from repro.ecc.secded import SecDedCode
 from repro.faults.fault_map import FaultMap
 from repro.kernels.classify import LineSignalKernel
-from repro.utils.bitpack import n_words, pack_positions, popcount64, unpack_positions
 
 __all__ = ["Signals", "LineErrorModel"]
 
@@ -67,6 +70,22 @@ class Signals:
 
 #: Signals of a line with no effective errors.
 _CLEAN = Signals(0, True, True, 0)
+
+# splitmix64 multipliers of the masking coins.
+_MIX_POSITION = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+
+def _offsets_of(row: int) -> list:
+    """The set bits of a row, in increasing order."""
+    offsets = []
+    while row:
+        low = row & -row
+        offsets.append(low.bit_length() - 1)
+        row ^= low
+    return offsets
 
 
 class LineErrorModel:
@@ -104,13 +123,15 @@ class LineErrorModel:
         interleaved_parity: bool = True,
     ):
         self.fault_map = fault_map
-        # CSR view (offsets list + positions array) of the faults
-        # active at the operating voltage — pure in the voltage, so
-        # built lazily and dropped by the voltage setter.  The fill
-        # path probes two offsets to detect the (dominant) "no active
-        # faults" case without touching any numpy machinery.
+        # CSR view of the faults active at the operating voltage: an
+        # offsets list plus the positions as a plain list (the row
+        # paths) and as an array (the vectorized fills_would_be_clean).
+        # Pure in the voltage, so built lazily and dropped by the
+        # voltage setter.  The fill path probes two offsets to detect
+        # the (dominant) "no active faults" case.
         self._act_offsets = None
         self._act_positions = None
+        self._act_array = None
         self.voltage = voltage
         self.rng = rng
         self.layout = layout if layout is not None else LineLayout()
@@ -125,14 +146,8 @@ class LineErrorModel:
         self.kernel = LineSignalKernel(
             self.layout, self._secded, interleaved=interleaved_parity
         )
-        self._words = n_words(self.layout.total_bits)
-        # Packed effective error vectors, one row per physical line,
-        # plus the cached row weight (popcount) for the dirty check.
-        self._rows = np.zeros((fault_map.n_lines, self._words), dtype=np.uint64)
-        # Row weights live in a plain list: the hot fill/read paths do
-        # scalar probes per access, where list indexing beats a numpy
-        # scalar read severalfold.
-        self._weights = [0] * fault_map.n_lines
+        # Effective error rows, one int per physical line (0 = clean).
+        self._rows = [0] * fault_map.n_lines
         # Read signals are pure in the row: memoise per line until the
         # next mutation (reads vastly outnumber writes).
         # line_id -> {(n_segments, use_ecc) | (n_segments, "observable"): Signals}
@@ -155,12 +170,17 @@ class LineErrorModel:
         self._voltage = value
         self._act_offsets = None
         self._act_positions = None
+        self._act_array = None
 
     # -- state updates ----------------------------------------------------
 
     def is_dirty(self, line_id: int) -> bool:
         """Fast check: does the line have a non-empty error vector?"""
-        return self._weights[line_id] != 0
+        return self._rows[line_id] != 0
+
+    def row(self, line_id: int) -> int:
+        """The line's effective error row (bit ``o`` = LV offset ``o``)."""
+        return self._rows[line_id]
 
     #: Probability that a write-through update toggles the masking
     #: state of each individual fault (new data at that bit position).
@@ -169,71 +189,75 @@ class LineErrorModel:
     def _ensure_active(self) -> list:
         """Build the active-fault CSR for the current voltage."""
         offsets, positions, _ = self.fault_map._active_csr(self._voltage)
-        if not self.lv_faults_in_ecc_cache:
-            # Bits resident in the (nominal-voltage) ECC cache never
-            # fail: filter them out once and rebuild the offsets.
+        # Offsets past the layout are not LV bits of this line; with the
+        # ECC cache at nominal voltage, neither is anything it stores.
+        stop = (
+            self.layout.total_bits
+            if self.lv_faults_in_ecc_cache
+            else self._cache_resident_stop
+        )
+        if self.fault_map.line_bits > stop:
             counts = np.diff(np.asarray(offsets))
             line_of = np.repeat(np.arange(len(counts)), counts)
-            keep = positions < self._cache_resident_stop
+            keep = positions < stop
             positions = positions[keep]
             counts = np.bincount(line_of[keep], minlength=len(counts))
             offsets = [0] * (len(counts) + 1)
             np.cumsum(counts, out=counts)
             offsets[1:] = counts.tolist()
         self._act_offsets = offsets
-        self._act_positions = positions
+        self._act_positions = positions.tolist()
+        self._act_array = positions
         return offsets
 
-    def _active_positions(self, line_id: int) -> np.ndarray:
+    def _active_positions(self, line_id: int) -> list:
         offsets = self._act_offsets
         if offsets is None:
             offsets = self._ensure_active()
         return self._act_positions[offsets[line_id] : offsets[line_id + 1]]
 
-    def _active_mask(self, line_id: int) -> np.ndarray:
-        """Packed mask of the line's active faults (cached in the map)."""
-        if self.lv_faults_in_ecc_cache:
-            return self.fault_map.packed_line_faults(
-                line_id, self.voltage, self.layout.total_bits
-            )
-        return pack_positions(
-            self._active_positions(line_id), self.layout.total_bits
-        )
+    def _active_mask(self, line_id: int) -> int:
+        """Row of all the line's active faults, masked or not."""
+        mask = 0
+        for position in self._active_positions(line_id):
+            mask |= 1 << position
+        return mask
 
-    @staticmethod
-    def _masking_coins(line_id: int, salt: int, positions: np.ndarray) -> np.ndarray:
-        """Deterministic fair coins per (line, data identity, fault).
+    def _unmasked_row(self, line_id: int, salt: int, start: int, stop: int) -> int:
+        """Row of the active faults ``[start, stop)`` of the CSR that the
+        data identified by ``salt`` leaves unmasked.
 
         A stuck-at cell is *masked* exactly when the written bit equals
-        its stuck value.  Data contents are identified by ``salt`` (the
-        cache tag): refilling the same address reinstalls the same
-        data, so the same faults are masked again — the property that
-        lets Killi's classification stabilise on read-mostly data.
+        its stuck value: a deterministic fair coin per (line, data
+        identity, fault) — bit 13 of a splitmix64 mix.  Data contents
+        are identified by ``salt`` (the cache tag): refilling the same
+        address reinstalls the same data, so the same faults are masked
+        again — the property that lets Killi's classification
+        stabilise on read-mostly data.  Same mix as
+        :meth:`_masking_coins_many`, in plain integer arithmetic.
         """
-        mask64 = (1 << 64) - 1
-        x = positions.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        x ^= np.uint64((line_id * 0xBF58476D1CE4E5B9) & mask64)
-        x ^= np.uint64(((salt + 1) * 0x94D049BB133111EB) & mask64)
-        # splitmix64 finalizer
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        return ((x >> np.uint64(13)) & np.uint64(1)).astype(bool)
+        seed = line_id * _MIX_1 ^ (salt + 1) * _MIX_2
+        row = 0
+        for position in self._act_positions[start:stop]:
+            x = (position * _MIX_POSITION ^ seed) & _MASK64
+            x ^= x >> 30
+            x = x * _MIX_1 & _MASK64
+            x ^= x >> 27
+            x = x * _MIX_2 & _MASK64
+            if (x ^ x >> 31) >> 13 & 1:
+                row |= 1 << position
+        return row
 
-    def _store_row(self, line_id: int, row: np.ndarray) -> None:
+    def _store_row(self, line_id: int, row: int) -> None:
         self._rows[line_id] = row
-        self._weights[line_id] = int(popcount64(row).sum())
         self._signal_cache.pop(line_id, None)
 
     def _clear_row(self, line_id: int) -> None:
-        # Weight zero implies the row is already all-zero and the
-        # signal cache holds (at most) "observable" entries, which are
-        # pure in (line, voltage) and stay correct across a clear.
-        if self._weights[line_id]:
+        # A clean row means the signal cache holds (at most)
+        # "observable" entries, which are pure in (line, voltage) and
+        # stay correct across a clear.
+        if self._rows[line_id]:
             self._rows[line_id] = 0
-            self._weights[line_id] = 0
             self._signal_cache.pop(line_id, None)
 
     def on_fill(self, line_id: int, salt: int = 0) -> None:
@@ -246,14 +270,11 @@ class LineErrorModel:
         if offsets is None:
             offsets = self._ensure_active()
         start = offsets[line_id]
-        if start == offsets[line_id + 1]:
+        stop = offsets[line_id + 1]
+        if start == stop:
             self._clear_row(line_id)
             return
-        positions = self._act_positions[start : offsets[line_id + 1]]
-        unmasked = positions[self._masking_coins(line_id, salt, positions)]
-        self._store_row(
-            line_id, pack_positions(unmasked, self.layout.total_bits)
-        )
+        self._store_row(line_id, self._unmasked_row(line_id, salt, start, stop))
 
     def slot_has_active(self, line_id: int) -> bool:
         """Any active LV faults in this physical slot at the current
@@ -269,36 +290,27 @@ class LineErrorModel:
 
         Pure prediction — evaluates the same deterministic masking
         coins ``on_fill`` uses (fills never touch the shared RNG) and
-        mutates nothing.  Must stay in lockstep with ``on_fill``.
+        mutates nothing.
         """
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        start = offsets[line_id]
-        stop = offsets[line_id + 1]
-        if start == stop:
-            return True
-        positions = self._act_positions[start:stop]
-        return not self._masking_coins(line_id, salt, positions).any()
+        return not self.predicted_fill_row(line_id, salt)
 
     @staticmethod
     def _masking_coins_many(
         line_ids: np.ndarray, salts: np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
-        """Elementwise :meth:`_masking_coins` over aligned arrays.
+        """The masking coins of :meth:`_unmasked_row` over aligned
+        arrays (True = unmasked).
 
         Same splitmix64 mix per element — ``uint64`` multiplies wrap
-        exactly like the scalar path's ``& mask64``.
+        exactly like the integer path's ``& _MASK64``.
         """
-        x = positions.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        x ^= line_ids.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
-        x ^= (salts.astype(np.uint64) + np.uint64(1)) * np.uint64(
-            0x94D049BB133111EB
-        )
+        x = positions.astype(np.uint64) * np.uint64(_MIX_POSITION)
+        x ^= line_ids.astype(np.uint64) * np.uint64(_MIX_1)
+        x ^= (salts.astype(np.uint64) + np.uint64(1)) * np.uint64(_MIX_2)
         x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x *= np.uint64(_MIX_1)
         x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
+        x *= np.uint64(_MIX_2)
         x ^= x >> np.uint64(31)
         return ((x >> np.uint64(13)) & np.uint64(1)).astype(bool)
 
@@ -326,7 +338,7 @@ class LineErrorModel:
         # Concatenated per-pair aranges into the active-position CSR.
         flat = np.arange(int(reps.sum()), dtype=np.int64)
         flat -= np.repeat(np.cumsum(reps) - reps, reps)
-        positions = self._act_positions[np.repeat(starts[faulted], reps) + flat]
+        positions = self._act_array[np.repeat(starts[faulted], reps) + flat]
         coins = self._masking_coins_many(
             np.repeat(line_ids[faulted], reps),
             np.repeat(salts[faulted], reps),
@@ -337,8 +349,8 @@ class LineErrorModel:
         clean[faulted] = ~unmasked
         return clean
 
-    def predicted_fill_row(self, line_id: int, salt: int):
-        """The packed row :meth:`on_fill` *would* store, or None if empty.
+    def predicted_fill_row(self, line_id: int, salt: int) -> int:
+        """The row :meth:`on_fill` *would* store (0 = clean).
 
         Pure, deterministic-coin prediction for the batched replay
         interpreter: lets a replay classify hypothetically-filled
@@ -351,22 +363,16 @@ class LineErrorModel:
         start = offsets[line_id]
         stop = offsets[line_id + 1]
         if start == stop:
-            return None
-        positions = self._act_positions[start:stop]
-        unmasked = positions[self._masking_coins(line_id, salt, positions)]
-        if not len(unmasked):
-            return None
-        return pack_positions(unmasked, self.layout.total_bits)
+            return 0
+        return self._unmasked_row(line_id, salt, start, stop)
 
-    def predicted_observable_row(self, line_id: int, row) -> np.ndarray:
+    def predicted_observable_row(self, line_id: int, row: int) -> int:
         """Observable (original + inverted image) vector for a stored row.
 
-        ``row`` is a packed vector or None (empty); the result ORs in
-        every active fault, mirroring :meth:`observable_signals` for a
-        hypothetical fill.
+        The result ORs every active fault into ``row``, mirroring
+        :meth:`observable_signals` for a hypothetical fill.
         """
-        mask = self._active_mask(line_id)
-        return mask if row is None else row | mask
+        return row | self._active_mask(line_id)
 
     def on_write_hit(self, line_id: int) -> None:
         """Write-through update of resident data.
@@ -385,32 +391,45 @@ class LineErrorModel:
             return
         self._store_row(line_id, self.rerolled_row(line_id, self._rows[line_id]))
 
-    def rerolled_row(self, line_id: int, row) -> np.ndarray:
+    def rerolled_row(self, line_id: int, row: int) -> int:
         """The row a write hit leaves on a line with active faults.
 
-        ``row`` is the line's current packed vector (None = empty).
-        Soft errors are overwritten, and each active fault's masking
-        state toggles with ``mask_flip_probability`` — one draw per
-        active fault from the *shared* stream, so callers must make
-        this call at the access's turn in the global order.  Mutates
-        nothing else; :meth:`on_write_hit` stores the result.
+        ``row`` is the line's current row.  Soft errors are
+        overwritten, and each active fault's masking state toggles with
+        ``mask_flip_probability`` — one ``rng.random(n_active)`` call on
+        the *shared* stream, so callers must make this call at the
+        access's turn in the global order.  Mutates nothing else;
+        :meth:`on_write_hit` stores the result.
         """
         positions = self._active_positions(line_id)
-        if row is None:
-            kept = np.zeros(self._words, dtype=np.uint64)
-        else:
-            kept = row & self._active_mask(line_id)
-        toggles = self.rng.random(len(positions)) < self.mask_flip_probability
-        return kept ^ pack_positions(positions[toggles], self.layout.total_bits)
+        flip = self.mask_flip_probability
+        active = 0
+        toggles = 0
+        for position, draw in zip(
+            positions, self.rng.random(len(positions)).tolist()
+        ):
+            bit = 1 << position
+            active |= bit
+            if draw < flip:
+                toggles |= bit
+        return (row & active) ^ toggles
 
-    def install_row(self, line_id: int, row) -> None:
-        """Store ``row`` (None = empty) as a fill or write hit on a line
-        with active faults would: the batched replay interpreter's
-        commit of a row it already derived (:meth:`predicted_fill_row`
-        or :meth:`rerolled_row`)."""
-        if row is None:
-            row = np.zeros(self._words, dtype=np.uint64)
+    def install_row(self, line_id: int, row: int) -> None:
+        """Store ``row`` as a fill or write hit on a line with active
+        faults would: the batched replay interpreter's commit of a row
+        it already derived (:meth:`predicted_fill_row` or
+        :meth:`rerolled_row`)."""
         self._store_row(line_id, row)
+
+    def _row_from_offsets(self, offsets, row: int = 0) -> int:
+        """XOR LV ``offsets`` into ``row``, rejecting any off the layout."""
+        total = self.layout.total_bits
+        for offset in offsets:
+            offset = int(offset)
+            if not 0 <= offset < total:
+                raise IndexError(f"offset {offset} outside the line layout")
+            row ^= 1 << offset
+        return row
 
     def set_effective(self, line_id: int, offsets) -> None:
         """Directly install an effective error vector (testing hook).
@@ -418,25 +437,15 @@ class LineErrorModel:
         Used by the cross-validation tests to mirror a bit-accurate
         data path's observed error vector into the sparse model.
         """
-        offsets = {int(o) for o in offsets}
-        for offset in offsets:
-            if not 0 <= offset < self.layout.total_bits:
-                raise IndexError(f"offset {offset} outside the line layout")
-        self._store_row(
-            line_id, pack_positions(sorted(offsets), self.layout.total_bits)
-        )
+        self._store_row(line_id, self._row_from_offsets(set(offsets)))
         if self.external_mutation_hook is not None:
             self.external_mutation_hook()
 
     def add_soft_error(self, line_id: int, offsets) -> None:
         """XOR transient bit flips into the line's error vector."""
-        row = self._rows[line_id].copy()
-        for offset in offsets:
-            offset = int(offset)
-            if not 0 <= offset < self.layout.total_bits:
-                raise IndexError(f"offset {offset} outside the line layout")
-            row[offset >> 6] ^= np.uint64(1) << np.uint64(offset & 63)
-        self._store_row(line_id, row)
+        self._store_row(
+            line_id, self._row_from_offsets(offsets, self._rows[line_id])
+        )
         if self.external_mutation_hook is not None:
             self.external_mutation_hook()
 
@@ -445,17 +454,14 @@ class LineErrorModel:
         self._clear_row(line_id)
 
     def clear_all(self) -> None:
-        self._rows[:] = 0
-        self._weights = [0] * len(self._weights)
+        self._rows[:] = [0] * len(self._rows)
         self._signal_cache.clear()
 
     # -- signal computation -------------------------------------------------
 
     def error_positions(self, line_id: int) -> frozenset:
         """The current effective error vector (LV offsets)."""
-        if not self._weights[line_id]:
-            return frozenset()
-        return frozenset(unpack_positions(self._rows[line_id]).tolist())
+        return frozenset(_offsets_of(self._rows[line_id]))
 
     def signals(self, line_id: int, n_segments: int, use_ecc: bool) -> Signals:
         """Controller-visible signals for a read of ``line_id``.
@@ -464,16 +470,15 @@ class LineErrorModel:
         during training, 4 afterwards); ``use_ecc`` is False for DFH
         b'00 lines whose ECC-cache entry has been freed.
         """
-        if not self._weights[line_id]:
+        row = self._rows[line_id]
+        if not row:
             return _CLEAN
         per_line = self._signal_cache.setdefault(line_id, {})
         key = (n_segments, use_ecc)
         cached = per_line.get(key)
         if cached is not None:
             return cached
-        signals = Signals(
-            *self.kernel.signals_row(self._rows[line_id], n_segments, use_ecc)
-        )
+        signals = Signals(*self.kernel.signals_row(row, n_segments, use_ecc))
         per_line[key] = signals
         return signals
 
@@ -483,7 +488,7 @@ class LineErrorModel:
         Set-level probe for the batched replay engine: a scheme-inert
         set must have every resident line's effective vector empty.
         """
-        return any(self._weights[start:stop])
+        return any(self._rows[start:stop])
 
     def active_faults_in_range(self, start: int, stop: int) -> bool:
         """Any *active* LV fault (masked or not) in lines ``[start, stop)``?
@@ -505,7 +510,7 @@ class LineErrorModel:
         true when the effective vector is non-empty or the line has
         active (possibly masked) faults.
         """
-        if self._weights[line_id]:
+        if self._rows[line_id]:
             return True
         if not self.fault_map.has_faults(line_id):
             return False
@@ -518,20 +523,17 @@ class LineErrorModel:
         active fault (a stuck cell disagrees with exactly one
         polarity) in addition to whatever soft errors are present.
         """
-        positions = set(unpack_positions(self._rows[line_id]).tolist())
-        active = self._active_positions(line_id)
-        positions.update(int(p) for p in active)
-        return positions
+        return set(_offsets_of(self._rows[line_id] | self._active_mask(line_id)))
 
     def observable_signals(self, line_id: int, n_segments: int) -> Signals:
-        """Signals of the inverted-write observation (packed fast path).
+        """Signals of the inverted-write observation (row fast path).
 
         Equivalent to ``signals_for_positions(
         observable_fault_positions(line_id), n_segments, use_ecc=True)``
-        but evaluated as packed-row popcounts: the observed vector is
-        the effective row OR-ed with the cached active-fault mask.
-        Memoised like :meth:`signals` (the active mask only changes
-        with the voltage, which resets the whole model).
+        but folded from one row: the effective row OR-ed with the
+        line's active-fault mask.  Memoised like :meth:`signals` (the
+        active mask only changes with the voltage, which resets the
+        whole model).
         """
         per_line = self._signal_cache.setdefault(line_id, {})
         key = (n_segments, "observable")
@@ -539,7 +541,7 @@ class LineErrorModel:
         if cached is not None:
             return cached
         row = self._rows[line_id] | self._active_mask(line_id)
-        if not row.any():
+        if not row:
             signals = _CLEAN
         else:
             signals = Signals(*self.kernel.signals_row(row, n_segments, True))
@@ -552,8 +554,8 @@ class LineErrorModel:
         """Signals produced by an explicit error vector.
 
         This is the scalar reference implementation — it walks the
-        sparse offset set one position at a time.  The packed kernel
-        path (:meth:`signals`, :meth:`observable_signals`) is pinned
+        sparse offset set one position at a time.  The row path
+        (:meth:`signals`, :meth:`observable_signals`) is pinned
         bit-identical to it by the equivalence tests.
         """
         if not effective:
@@ -598,28 +600,23 @@ class LineErrorModel:
         issues CORRECT_AND_SEND on a heavier vector the result is a
         silent data corruption, which the harness counts.
         """
-        if not self._weights[line_id]:
-            return True
         return self.row_correction_is_sound(self._rows[line_id], use_ecc)
 
-    def row_correction_is_sound(self, row: np.ndarray, use_ecc: bool = True) -> bool:
-        """:meth:`correction_is_sound` for an explicit packed row."""
+    def row_correction_is_sound(self, row: int, use_ecc: bool = True) -> bool:
+        """:meth:`correction_is_sound` for an explicit row."""
         kernel = self.kernel
-        mask = kernel.codeword_mask if use_ecc else kernel.data_mask
-        codeword_weight = int(popcount64(row & mask).sum())
-        if codeword_weight == 1:
+        mask = kernel.codeword_row_mask if use_ecc else kernel.data_row_mask
+        if (row & mask).bit_count() == 1:
             return True
         # Heavier vectors: sound only if no *data* bit is wrong after
         # the decoder's (mis)correction; conservatively require that
         # no data bits are flipped at all.
-        return int(popcount64(row & kernel.data_mask).sum()) == 0
+        return not row & kernel.data_row_mask
 
     def has_data_errors(self, line_id: int) -> bool:
         """Ground truth: does the line currently return corrupt data bits?"""
-        if not self._weights[line_id]:
-            return False
         return self.row_has_data_errors(self._rows[line_id])
 
-    def row_has_data_errors(self, row: np.ndarray) -> bool:
-        """:meth:`has_data_errors` for an explicit packed row."""
-        return bool(popcount64(row & self.kernel.data_mask).any())
+    def row_has_data_errors(self, row: int) -> bool:
+        """:meth:`has_data_errors` for an explicit row."""
+        return (row & self.kernel.data_row_mask) != 0

@@ -57,26 +57,27 @@ class KilliStrongScheme(KilliScheme):
         super().__init__(geometry, fault_map, voltage, config, rng, soft_injector)
         self.code = code
         self.correct_t = correction_capability(code)
+        self._codeword_mask = self.errors.kernel.codeword_row_mask
+        # Per segment count: the row mask of the parity bits in use.
+        layout = self.layout
+        self._parity_masks = {
+            n_segments: ((1 << min(n_segments, layout.max_parity_bits)) - 1)
+            << layout.parity_offset
+            for n_segments in (
+                self.config.training_segments,
+                self.config.stable_segments,
+            )
+        }
 
     # -- classification ----------------------------------------------------
 
     def _codeword_error_count(self, line_id: int) -> int:
         """Errors the strong code sees (data + checkbit regions)."""
-        layout = self.layout
-        return sum(
-            1
-            for offset in self.errors.error_positions(line_id)
-            if layout.is_data(offset) or layout.is_checkbit(offset)
-        )
+        return (self.errors.row(line_id) & self._codeword_mask).bit_count()
 
     def _parity_only_mismatch(self, line_id: int, n_segments: int) -> bool:
         """Any parity-bit-only error visible at this configuration?"""
-        layout = self.layout
-        return any(
-            layout.is_parity(offset)
-            and layout.parity_index(offset) < n_segments
-            for offset in self.errors.error_positions(line_id)
-        )
+        return (self.errors.row(line_id) & self._parity_masks[n_segments]) != 0
 
     def on_read_hit(self, set_index: int, way: int) -> AccessOutcome:
         line_id = self._line_id(set_index, way)

@@ -1,8 +1,8 @@
 """Packed-bit (uint64 word) representations of sparse bit sets.
 
-The batched classification kernels (:mod:`repro.kernels`) and the
-packed per-line error tracker (:mod:`repro.core.linestate`) represent a
-set of bit offsets as a row of ``uint64`` words — offset ``o`` lives in
+The batched classification kernels (:mod:`repro.kernels`) and the ECC
+codes' batch APIs represent a set of bit offsets as a row of ``uint64``
+words — offset ``o`` lives in
 word ``o >> 6``, bit ``o & 63``.  Membership tests, intersections and
 parities then become word-wide AND/XOR plus popcounts, which numpy
 evaluates across whole matrices at once.

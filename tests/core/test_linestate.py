@@ -1,5 +1,6 @@
 """Tests for the sparse per-line error model."""
 
+import numpy as np
 import pytest
 
 from repro.core.layout import LineLayout
@@ -353,3 +354,90 @@ class TestValidation:
             model.on_fill(line, salt=1)
             for position in model.error_positions(line):
                 assert position < 516  # data + 4 resident parity bits
+
+
+@pytest.fixture(scope="module")
+def low_vmin_model():
+    """A dense map at 0.600xVDD (about 4.4 active faults per line)."""
+    fault_map = FaultMap(n_lines=4096, rng=np.random.default_rng(2019))
+    return LineErrorModel(fault_map, 0.6, np.random.default_rng(5))
+
+
+def _row(offsets) -> int:
+    return sum(1 << offset for offset in offsets)
+
+
+class TestRowDerivations:
+    """The integer row paths, pinned to the vectorized coins and to rows
+    recorded from the packed-matrix implementation they replaced."""
+
+    def test_fill_rows_match_vectorized_coins(self, low_vmin_model):
+        model = low_vmin_model
+        rng = np.random.default_rng(77)
+        n_pairs = 12_000
+        slots = rng.integers(0, model.fault_map.n_lines, n_pairs)
+        salts = rng.integers(0, 2**62, n_pairs)
+        salts[:100] = np.arange(100)  # small tags too
+        offsets, positions, _ = model.fault_map._active_csr(0.6)
+        starts = np.asarray(offsets)[slots]
+        counts = np.asarray(offsets)[slots + 1] - starts
+        assert counts.mean() > 4  # dense: multi-fault lines dominate
+        pair_of = np.repeat(np.arange(n_pairs), counts)
+        flat = np.arange(int(counts.sum())) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        pair_positions = positions[np.repeat(starts, counts) + flat]
+        coins = LineErrorModel._masking_coins_many(
+            slots[pair_of], salts[pair_of], pair_positions
+        )
+        want = [0] * n_pairs
+        for pair, position in zip(
+            pair_of[coins].tolist(), pair_positions[coins].tolist()
+        ):
+            want[pair] |= 1 << position
+        clean = model.fills_would_be_clean(slots, salts)
+        for i, (slot, salt) in enumerate(zip(slots.tolist(), salts.tolist())):
+            model.on_fill(slot, salt)
+            assert model.row(slot) == want[i], (slot, salt)
+            assert model.predicted_fill_row(slot, salt) == want[i]
+            assert model.fill_would_be_clean(slot, salt) == (want[i] == 0)
+            assert bool(clean[i]) == (want[i] == 0)
+
+    @pytest.mark.parametrize(
+        "slot,salt,active,unmasked",
+        [
+            (7, 0, (237, 253, 461), (237, 461)),
+            (1234, 99, (3, 82, 202, 306, 432, 536), (3, 432)),
+            (2048, 123456789, (169, 238, 289, 311, 477), (289, 311, 477)),
+            (4095, 31, (9, 416, 496), (416,)),
+        ],
+    )
+    def test_recorded_fill_rows(self, low_vmin_model, slot, salt, active, unmasked):
+        model = low_vmin_model
+        assert tuple(model._active_positions(slot)) == active
+        model.on_fill(slot, salt)
+        assert model.row(slot) == _row(unmasked)
+
+    def test_reroll_draws_exactly_n_active(self, low_vmin_model):
+        model = low_vmin_model
+        for line in (7, 1234, 2363):
+            n_active = len(model._active_positions(line))
+            model.on_fill(line, 3)
+            model.rng = np.random.default_rng(line)
+            twin = np.random.default_rng(line)
+            model.rerolled_row(line, model.row(line))
+            twin.random(n_active)
+            assert model.rng.bit_generator.state == twin.bit_generator.state
+
+    def test_recorded_reroll(self, low_vmin_model):
+        model = low_vmin_model
+        line = 2363
+        assert model._active_positions(line) == [
+            187, 195, 226, 252, 318, 320, 326, 354, 360, 429, 430, 444, 469, 474,
+        ]
+        model.on_fill(line, 17)
+        assert model.row(line) == _row((226, 320, 326, 360, 429, 444, 474))
+        model.add_soft_error(line, [300])  # not a fault: the write drops it
+        model.rng = np.random.default_rng(11)
+        model.on_write_hit(line)
+        assert model.row(line) == _row((226, 252, 320, 360, 429, 444, 474))

@@ -145,3 +145,35 @@ class TestStochasticCapacity:
                 cache.read(int(addr))
             results[label] = scheme.disabled_fraction()
         assert results["olsc"] < results["secded"] / 5
+
+
+class TestRowCounts:
+    """The strong code's row-mask counts against a per-offset walk."""
+
+    def test_counts_match_per_offset_reference(self):
+        _, scheme = build({})
+        layout = scheme.layout
+        line = GEO.line_id(0, 0)
+        pools = (
+            range(layout.data_bits),
+            range(layout.parity_offset, layout.check_offset),
+            range(layout.check_offset, layout.gparity_offset),
+            [layout.gparity_offset],
+        )
+        rng = np.random.default_rng(41)
+        for _ in range(600):
+            offsets = set()
+            for pool in pools:
+                k = int(rng.integers(0, 4))
+                offsets.update(int(o) for o in rng.choice(pool, k))
+            scheme.errors.set_effective(line, offsets)
+            assert scheme._codeword_error_count(line) == sum(
+                1
+                for o in offsets
+                if layout.is_data(o) or layout.is_checkbit(o)
+            )
+            for n_segments in (16, 4):
+                assert scheme._parity_only_mismatch(line, n_segments) == any(
+                    layout.is_parity(o) and layout.parity_index(o) < n_segments
+                    for o in offsets
+                ), (sorted(offsets), n_segments)

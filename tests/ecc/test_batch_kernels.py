@@ -157,7 +157,9 @@ class TestLineSignalKernel:
         )
         for i, positions in enumerate(offset_sets):
             want = reference.signals_for_positions(positions, n_segments, use_ecc)
-            row = kernel.signals_row(packed[i], n_segments, use_ecc)
+            row = kernel.signals_row(
+                sum(1 << int(o) for o in positions), n_segments, use_ecc
+            )
             for name, got in (
                 ("matrix", (m_sp[i], m_sz[i], m_pok[i], m_derr[i])),
                 ("offsets", (o_sp[i], o_sz[i], o_pok[i], o_derr[i])),

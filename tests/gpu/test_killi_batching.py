@@ -367,7 +367,7 @@ class TestInterleavedPauses:
         reference = (
             sim.state_digest(),
             scheme_state_key(result, sim, scheme),
-            scheme.errors._rows.tobytes(),
+            list(scheme.errors._rows),
         )
         METRICS.enable(propagate_env=False)
         try:
@@ -379,7 +379,7 @@ class TestInterleavedPauses:
         assert (
             sim.state_digest(),
             scheme_state_key(result, sim, scheme),
-            scheme.errors._rows.tobytes(),
+            list(scheme.errors._rows),
         ) == reference
         assert counters["engine.batched.guard_aborts.KilliScheme"] == len(
             rng_writes
