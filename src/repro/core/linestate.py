@@ -223,31 +223,6 @@ class LineErrorModel:
             mask |= 1 << position
         return mask
 
-    def _unmasked_row(self, line_id: int, salt: int, start: int, stop: int) -> int:
-        """Row of the active faults ``[start, stop)`` of the CSR that the
-        data identified by ``salt`` leaves unmasked.
-
-        A stuck-at cell is *masked* exactly when the written bit equals
-        its stuck value: a deterministic fair coin per (line, data
-        identity, fault) — bit 13 of a splitmix64 mix.  Data contents
-        are identified by ``salt`` (the cache tag): refilling the same
-        address reinstalls the same data, so the same faults are masked
-        again — the property that lets Killi's classification
-        stabilise on read-mostly data.  Same mix as
-        :meth:`_masking_coins_many`, in plain integer arithmetic.
-        """
-        seed = line_id * _MIX_1 ^ (salt + 1) * _MIX_2
-        row = 0
-        for position in self._act_positions[start:stop]:
-            x = (position * _MIX_POSITION ^ seed) & _MASK64
-            x ^= x >> 30
-            x = x * _MIX_1 & _MASK64
-            x ^= x >> 27
-            x = x * _MIX_2 & _MASK64
-            if (x ^ x >> 31) >> 13 & 1:
-                row |= 1 << position
-        return row
-
     def _store_row(self, line_id: int, row: int) -> None:
         self._rows[line_id] = row
         self._signal_cache.pop(line_id, None)
@@ -266,15 +241,11 @@ class LineErrorModel:
         Unmasked faults are determined by the deterministic coins;
         accumulated soft errors are overwritten.
         """
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        start = offsets[line_id]
-        stop = offsets[line_id + 1]
-        if start == stop:
+        row = self.predicted_fill_row(line_id, salt)
+        if row:
+            self._store_row(line_id, row)
+        else:
             self._clear_row(line_id)
-            return
-        self._store_row(line_id, self._unmasked_row(line_id, salt, start, stop))
 
     def slot_has_active(self, line_id: int) -> bool:
         """Any active LV faults in this physical slot at the current
@@ -298,7 +269,7 @@ class LineErrorModel:
     def _masking_coins_many(
         line_ids: np.ndarray, salts: np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
-        """The masking coins of :meth:`_unmasked_row` over aligned
+        """The masking coins of :meth:`predicted_fill_row` over aligned
         arrays (True = unmasked).
 
         Same splitmix64 mix per element — ``uint64`` multiplies wrap
@@ -350,12 +321,22 @@ class LineErrorModel:
         return clean
 
     def predicted_fill_row(self, line_id: int, salt: int) -> int:
-        """The row :meth:`on_fill` *would* store (0 = clean).
+        """The row :meth:`on_fill` *would* store (0 = clean): the line's
+        active faults that the data identified by ``salt`` leaves
+        unmasked.
 
-        Pure, deterministic-coin prediction for the batched replay
-        interpreter: lets a replay classify hypothetically-filled
-        lines without mutating the model (the commit replays
-        ``on_fill`` with the same salt, reproducing this row exactly).
+        A stuck-at cell is *masked* exactly when the written bit equals
+        its stuck value: a deterministic fair coin per (line, data
+        identity, fault) — bit 13 of a splitmix64 mix, the same mix as
+        :meth:`_masking_coins_many` in plain integer arithmetic.  Data
+        contents are identified by ``salt`` (the cache tag): refilling
+        the same address reinstalls the same data, so the same faults
+        are masked again — the property that lets Killi's
+        classification stabilise on read-mostly data.
+
+        Pure (fills never touch the shared RNG), so the batched replay
+        interpreter classifies hypothetically-filled lines with it and
+        its commit installs the same row.
         """
         offsets = self._act_offsets
         if offsets is None:
@@ -364,7 +345,17 @@ class LineErrorModel:
         stop = offsets[line_id + 1]
         if start == stop:
             return 0
-        return self._unmasked_row(line_id, salt, start, stop)
+        seed = line_id * _MIX_1 ^ (salt + 1) * _MIX_2
+        row = 0
+        for position in self._act_positions[start:stop]:
+            x = (position * _MIX_POSITION ^ seed) & _MASK64
+            x ^= x >> 30
+            x = x * _MIX_1 & _MASK64
+            x ^= x >> 27
+            x = x * _MIX_2 & _MASK64
+            if (x ^ x >> 31) >> 13 & 1:
+                row |= 1 << position
+        return row
 
     def predicted_observable_row(self, line_id: int, row: int) -> int:
         """Observable (original + inverted image) vector for a stored row.
