@@ -104,7 +104,7 @@ _FULL = {
 
 #: The Figure 4 panel benched end-to-end: both paper outliers x the
 #: full scheme family (inert baseline, the three MBIST oracles with
-#: per-way CORRECTED replay, and Killi with guarded replay).
+#: per-way CORRECTED replay, and Killi through the cluster interpreter).
 _FIG4_WORKLOADS = ("xsbench", "fft")
 _FIG4_SCHEMES = ("baseline", "dected", "flair", "msecc", "killi_1:8")
 
@@ -295,13 +295,13 @@ def bench_l2_replay(accesses: int) -> dict:
     rh_total = wh_total = ev_total = n_writes = 0
     miss_total = 0
     for s, a, b in zip(uniq.tolist(), starts.tolist(), bounds.tolist()):
-        info, corrected_ways, guard = batched.set_replay_profile(s)
+        info, corrected_ways = batched.set_replay_profile(s)
         way_lines, seed, free_ways = export_set_state(
             batched.tags, batched.lru, s
         )
         resident, touch_order, rh, wh, ev, misses, _ = replay_clean_set(
             seed, free_ways, order[a:b].tolist(), lines_list, stores_list,
-            corrected_ways, guard,
+            corrected_ways,
         )
         pending.append((s, way_lines, resident, touch_order))
         if rh:
@@ -443,7 +443,7 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
     in bulk), so batched must beat scalar on *every* Killi cell;
     ``killi_batched_vs_scalar_min`` records the worst cell and is
     gated by ``--fail-if-slower``.  ``batched_telemetry`` captures the
-    engine's guard-abort/fallback counters accumulated over the panel.
+    engine's pause/fallback counters accumulated over the panel.
     """
     workloads = list(_FIG4_WORKLOADS)
     schemes = list(_FIG4_SCHEMES)

@@ -135,11 +135,11 @@ class OracleEccScheme(ProtectionScheme):
         (``corrected_ways``); over-budget ways were disabled at attach
         (invalid forever, excluded from the fill order by
         ``export_set_state``).  No RNG, no shared structures, no state
-        transitions — no guard needed.
+        transitions.
         """
         if not self._replay_hooks_clean:
             return None
-        return ((False, 0, 0), self._corrected_ways[set_index], None)
+        return ((False, 0, 0), self._corrected_ways[set_index])
 
     def on_reset(self) -> None:
         # The cache just re-enabled every way; MBIST runs again for the

@@ -13,7 +13,7 @@ transaction core -> hooks -> tag substrate (see ``docs/architecture.md``):
   write-back extension and the L1 filter caches; the single scalar
   implementation of the access semantics.
 - :mod:`repro.cache.hooks` — the scheme-facing surface (outcomes,
-  hook base class, replay guards, the batched-engine gate).
+  hook base class, the batched-engine gate).
 - :mod:`repro.cache.soa` — the tag substrate: tag store and LRU
   state on flat arrays, plus the batched set-replay kernels.
 """
@@ -40,7 +40,6 @@ from repro.cache.hooks import (
     UnprotectedScheme,
     batched_surface,
     hooks_unchanged,
-    make_replay_guard,
 )
 from repro.cache.soa import SoaLruState, SoaTagStore
 from repro.cache.stats import CacheStats
@@ -56,7 +55,6 @@ __all__ = [
     "BatchedSurface",
     "batched_surface",
     "hooks_unchanged",
-    "make_replay_guard",
     "CacheLatencies",
     "CacheModel",
     "AccessTransaction",

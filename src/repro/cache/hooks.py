@@ -13,9 +13,8 @@ tier consumes instead of re-stating semantics inline:
 
 - :func:`hooks_unchanged` — the type-level "does this scheme override
   any behavioural hook?" probe behind the default set-inertness
-  answer and the MBIST oracles' static-batchability check;
-- :func:`make_replay_guard` — the abort-before-side-effect guard
-  protocol handed to :func:`repro.cache.soa.replay_clean_set`;
+  answer, the MBIST oracles' static-batchability check and Killi's
+  cluster-interpreter gate;
 - :func:`batched_surface` — the batched engine's single entry point
   for deciding whether a cache's scalar semantics may be replayed in
   bulk at all, replacing per-engine ``type(...)`` checks.
@@ -31,7 +30,6 @@ __all__ = [
     "PURE_CLEAN_HIT",
     "BEHAVIOURAL_HOOKS",
     "hooks_unchanged",
-    "make_replay_guard",
     "BatchedSurface",
     "batched_surface",
     "ProtectionScheme",
@@ -85,10 +83,10 @@ def hooks_unchanged(cls, hooks=BEHAVIOURAL_HOOKS, owners=None) -> bool:
 
     ``owners`` optionally maps hook names to the class expected to own
     the implementation (default: :class:`ProtectionScheme` for all) —
-    the MBIST oracles use this to assert "no subclass changed anything
-    beyond the hooks *I* implement" before answering static-
-    batchability probes.  Purely type-level, so the answer is a
-    class-lifetime constant; callers cache it.
+    the MBIST oracles and Killi use this to assert "no subclass changed
+    anything beyond the hooks *I* implement" before answering static-
+    batchability probes or handing out a batch interpreter.  Purely
+    type-level, so the answer is a class-lifetime constant.
     """
     if owners is None:
         for name in hooks:
@@ -107,33 +105,6 @@ def hooks_unchanged(cls, hooks=BEHAVIOURAL_HOOKS, owners=None) -> bool:
 _INERT_BY_CLASS: dict = {}
 
 
-def make_replay_guard(unsafe_ways, fill_ok, fills_ok=None):
-    """Build the abort-before-side-effect guard for batched set replay.
-
-    The guard protocol consumed by
-    :func:`repro.cache.soa.replay_clean_set`:
-
-    - ``unsafe_ways`` — ways whose events may have scheme side effects
-      the flat kernel cannot reproduce.  A *write hit* on a resident
-      line in an unsafe way always aborts (it would draw shared RNG);
-      a *fill* into an unsafe way aborts only if the fill predicate
-      says the deterministic masking coins would leave a stored error.
-    - ``fill_ok(way, line_no) -> bool`` — per-fill predicate.
-    - ``fills_ok(ways, line_nos) -> bool array`` — optional batched
-      form; when supplied, unsafe fills are deferred and checked in
-      one vectorized call, and the kernel still reports the *earliest*
-      unreplayable event.
-
-    On abort nothing has been mutated: the kernel returns the offset
-    of the aborting access, the engine runs that access through the
-    ordinary per-access path, and a later re-probe resumes past it.
-    Returns the plain tuple form the kernel unpacks.
-    """
-    if fills_ok is not None:
-        return (unsafe_ways, fill_ok, fills_ok)
-    return (unsafe_ways, fill_ok)
-
-
 class BatchedSurface(NamedTuple):
     """What the batched engine may use of a cache: see :func:`batched_surface`."""
 
@@ -144,7 +115,7 @@ class BatchedSurface(NamedTuple):
     interpreter: object
     """A scheme-exact batch interpreter
     (:meth:`ProtectionScheme.batch_interpreter`), or None when only the
-    probe-based set-replay path applies."""
+    set-replay profiles apply."""
 
 
 def batched_surface(cache):
@@ -275,7 +246,7 @@ class ProtectionScheme:
     # -- batched set replay ----------------------------------------------
 
     def set_replay_profile(self, set_index: int):
-        """Batched-replay profile ``(info, corrected_ways, guard)`` or None.
+        """Batched-replay profile ``(info, corrected_ways)`` or None.
 
         The batched engine partitions the L2-bound stream by set and
         replays a set without per-access scheme dispatch when this
@@ -288,15 +259,10 @@ class ProtectionScheme:
           replay as CORRECTED (+1 cycle, ``corrected_reads``) instead
           of ``info[0]``'s latency class.  Lets statically-
           characterised schemes (the MBIST oracles) batch sets that
-          *contain* faulty-but-correctable lines;
-        - ``guard`` — None, or a guard built by
-          :func:`make_replay_guard`, passed to
-          :func:`repro.cache.soa.replay_clean_set`, which aborts the
-          replay on the rare events that cannot be replayed out of
-          order (shared-RNG draws, unmasked fills).
+          *contain* faulty-but-correctable lines.
 
-        Everything outside the guarded events must keep the set
-        *scheme-inert* for the rest of the current kernel:
+        A profile must keep the set *scheme-inert* for the whole
+        current kernel:
 
         - every read hit in the set behaves per ``info`` /
           ``corrected_ways``;
@@ -308,11 +274,12 @@ class ProtectionScheme:
         - nothing outside the set's own accesses can mutate the set
           (no shared-structure entries pointing at it).
 
-        Without a guard the guarantee must be *monotone*: once true it
-        stays true until the kernel ends.  The default covers schemes
+        The engine asks once per set, before the kernel's first access,
+        and runs a refused set per access for the whole kernel, so the
+        answer must be fixed for a kernel.  The default covers schemes
         that override none of the behavioural hooks
-        (:data:`BEHAVIOURAL_HOOKS`) — uniform pure-clean hits, no
-        guard; unaware subclasses safely opt out.
+        (:data:`BEHAVIOURAL_HOOKS`) — uniform pure-clean hits; unaware
+        subclasses safely opt out.
         """
         cls = type(self)
         inert = _INERT_BY_CLASS.get(cls)
@@ -321,7 +288,7 @@ class ProtectionScheme:
             _INERT_BY_CLASS[cls] = inert
         if not inert:
             return None
-        return (PURE_CLEAN_HIT, None, None)
+        return (PURE_CLEAN_HIT, None)
 
     def batch_interpreter(self, cache):
         """Scheme-exact batch interpreter for the engine, or None.
@@ -331,8 +298,8 @@ class ProtectionScheme:
         state, stat and RNG effect bit-exactly — returns an
         interpreter object here (see
         :mod:`repro.core.killi_replay`).  None (the default) keeps the
-        probe-based set-replay path as the only batching the engine
-        attempts for this scheme.
+        set-replay profiles as the only batching the engine attempts
+        for this scheme.
         """
         return None
 

@@ -18,6 +18,8 @@ segmented-parity mismatch count (0 / 1 / >=2), SECDED syndrome
 DFH state and the action the cache controller must take.  They encode
 the paper's Table 2 rows verbatim; the handful of (signal) combinations
 Table 2 leaves out are resolved conservatively and documented inline.
+:func:`classify_strong` is the Section 5.2/5.5 variant's rule, for a
+stronger code in the ECC cache.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ __all__ = [
     "CLASSIFY_ACTION",
     "CLASSIFY_FREE",
     "FILL_PRIORITY",
+    "EVENT_READ",
+    "EVENT_TRAIN",
+    "classify_strong",
+    "STRONG_TABLE",
 ]
 
 
@@ -289,3 +295,76 @@ def classify_batch(dfh, sp_mismatches, syndrome_zero, global_parity_ok):
         CLASSIFY_ACTION.ravel()[idx],
         CLASSIFY_FREE.ravel()[idx],
     )
+
+
+# -- strong-code classification (paper Sections 5.2 / 5.5) -----------------
+
+#: Strong-code classification events: a read hit, and training — the
+#: eviction of a b'01 line (Section 4.4) or a line losing its ECC-cache
+#: entry to contention.
+EVENT_READ = 0
+EVENT_TRAIN = 1
+
+
+def classify_strong(
+    event: int, dfh: Dfh, bucket: int, parity_only: bool
+) -> Classification:
+    """Killi with a ``t``-error-correcting code in the ECC cache.
+
+    The strong code's decoder counts the codeword errors (data +
+    checkbits) up to its detection budget, so the signals collapse to
+    an error ``bucket`` — 0, 1..t or more than t codeword errors — plus
+    ``parity_only``: the parity bits the event checks show an error
+    (read hits check every parity bit, training the training
+    configuration's).  DFH b'10 now means "1..t faults, protected by
+    the strong code"; lines with more than ``t`` faults are disabled.
+
+    - b'00 read hit: only the 4-bit parity is checked, so ``bucket``
+      is its segmented mismatch count (0 / 1 / 2+) instead.  No
+      mismatch serves the data; *any* mismatch re-enters training
+      (b'01) and never disables — unlike Table 2 row 3, because the
+      stronger code may well still protect the line (e.g. 2 faults
+      under DECTED), so disabling would throw capacity away.
+    - b'01 / b'10, read hit or training: no error at all -> b'00 (free
+      the entry); errors in the parity bits only -> b'10, served clean
+      (a stuck parity bit: keep the strong protection); 1..t -> b'10,
+      corrected; more than t -> disabled.
+
+    Unlike Table 2 the rule ignores inverted write training: a b'01
+    line is clean exactly when its effective error row is, masked
+    faults or not.  b'00 lines are never trained.
+    """
+    if dfh is Dfh.DISABLED:
+        raise ValueError("disabled lines are never accessed (Table 2 last row)")
+    if dfh is Dfh.STABLE_0:
+        if event != EVENT_READ:
+            raise ValueError("b'00 lines are never trained")
+        if bucket == 0:
+            return Classification(Dfh.STABLE_0, DfhAction.SEND_CLEAN)
+        return Classification(Dfh.INITIAL, DfhAction.ERROR_MISS)
+    if bucket == 0:
+        if parity_only:
+            return Classification(Dfh.STABLE_1, DfhAction.SEND_CLEAN)
+        return Classification(Dfh.STABLE_0, DfhAction.SEND_CLEAN, free_ecc_entry=True)
+    if bucket == 1:
+        return Classification(Dfh.STABLE_1, DfhAction.CORRECT_AND_SEND)
+    return Classification(Dfh.DISABLED, DfhAction.ERROR_MISS, free_ecc_entry=True)
+
+
+#: :func:`classify_strong` enumerated, indexed ``[event][dfh][bucket]
+#: [parity_only]``; never-trained b'00 cells hold None.
+STRONG_TABLE = tuple(
+    tuple(
+        tuple(
+            tuple(
+                None
+                if dfh is Dfh.STABLE_0 and event != EVENT_READ
+                else classify_strong(event, dfh, bucket, parity_only)
+                for parity_only in (False, True)
+            )
+            for bucket in range(3)
+        )
+        for dfh in (Dfh.STABLE_0, Dfh.INITIAL, Dfh.STABLE_1)
+    )
+    for event in (EVENT_READ, EVENT_TRAIN)
+)

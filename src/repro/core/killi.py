@@ -9,9 +9,10 @@ that the write-through L2 drives.  Responsibilities:
   thereby invalidating) another L2 line's entry — the contention
   mechanism behind Figure 4/5's sensitivity to ECC-cache size.
 - **Read hit** — derive the (segmented parity, syndrome, global
-  parity) signals, classify per Table 2, update DFH, and translate the
-  action to a cache outcome (clean hit / corrected hit / error-induced
-  miss that invalidates or disables the line).
+  parity) signals, classify per Table 2 (or per the strong-code table,
+  :func:`repro.core.dfh.classify_strong`), update DFH, and translate
+  the action to a cache outcome (clean hit / corrected hit /
+  error-induced miss that invalidates or disables the line).
 - **Eviction** — optional training: b'01 lines are classified from
   their evicted contents (Section 4.4), so DFH warmup does not require
   a hit.
@@ -27,9 +28,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hooks import AccessOutcome, ProtectionScheme, make_replay_guard
+from repro.cache.hooks import (
+    BEHAVIOURAL_HOOKS,
+    AccessOutcome,
+    ProtectionScheme,
+    hooks_unchanged,
+)
 from repro.core.config import KilliConfig
-from repro.core.dfh import FILL_PRIORITY, Classification, Dfh, DfhAction, classify
+from repro.core.dfh import (
+    EVENT_READ,
+    EVENT_TRAIN,
+    FILL_PRIORITY,
+    Classification,
+    Dfh,
+    DfhAction,
+    classify_cached,
+)
 from repro.core.ecc_cache import EccCache
 from repro.core.layout import LineLayout
 from repro.core.linestate import LineErrorModel
@@ -45,6 +59,14 @@ _INITIAL = int(Dfh.INITIAL)
 _STABLE_1 = int(Dfh.STABLE_1)
 _DISABLED = int(Dfh.DISABLED)
 _NAMES = tuple(Dfh(v).name for v in range(4))
+
+#: Table 2 under clean signals, per accessible DFH value: what a
+#: fast-clean line classifies to (b'00, send clean).
+_CLEAN_CLS = tuple(classify_cached(v, 0, True, True) for v in range(3))
+
+#: The hooks the cluster interpreter replicates: a subclass overriding
+#: any of them is refused the interpreter.
+_INTERPRETED_HOOKS = BEHAVIOURAL_HOOKS + ("_handle_ecc_eviction",)
 
 
 class KilliScheme(ProtectionScheme):
@@ -65,7 +87,18 @@ class KilliScheme(ProtectionScheme):
         Stream for fault-masking coin flips.
     soft_injector:
         Optional transient-error injector exercised on read hits.
+
+    Classification follows Table 2 from the SECDED signals.  A
+    strong-code subclass (:class:`repro.core.strong.KilliStrongScheme`)
+    sets ``correct_t``, the row masks and ``strong_table`` instead;
+    every hook then looks its classification up in that table
+    (:func:`repro.core.dfh.classify_strong`).
     """
+
+    #: Errors the ECC-cache code corrects soundly (SECDED: one).
+    correct_t = 1
+    #: :data:`repro.core.dfh.STRONG_TABLE` for a strong code, else None.
+    strong_table = None
 
     def __init__(
         self,
@@ -104,19 +137,11 @@ class KilliScheme(ProtectionScheme):
         # severalfold slower.  Entries are always plain ints (0..3).
         self._dfh_np = np.full(geometry.n_lines, _INITIAL, dtype=np.int8)
         self.dfh = memoryview(self._dfh_np)
-        # Per-set DFH occupancy counters, maintained incrementally by
-        # _set_dfh so the set-inertness probes are O(1):
-        # - off-initial: lines in a state other than INITIAL (0 means
-        #   every way still carries the same fill priority);
-        # - unstable: lines in INITIAL or STABLE_1 (0 means every way
-        #   is STABLE_0 or DISABLED — the stabilised-set condition);
-        # - disabled: lines in DISABLED.
+        # Per-set count of lines in a state other than INITIAL,
+        # maintained by _set_dfh: 0 means every way still carries the
+        # same fill priority (an O(1) uniformity probe).
         self._off_initial_np = np.zeros(geometry.n_sets, dtype=np.int32)
         self._off_initial_in_set = memoryview(self._off_initial_np)
-        self._unstable_np = np.full(geometry.n_sets, self._assoc, np.int32)
-        self._unstable_in_set = memoryview(self._unstable_np)
-        self._dfh_disabled_np = np.zeros(geometry.n_sets, dtype=np.int32)
-        self._dfh_disabled_in_set = memoryview(self._dfh_disabled_np)
         # Transition counters as a dense 4x4 (old, new) array; the
         # dict-of-name-tuples shape tests and the harness consume is a
         # property view built on demand.
@@ -158,8 +183,8 @@ class KilliScheme(ProtectionScheme):
             return not self.errors.has_observable_faults(line_id)
         return True
 
-    def _signals(self, line_id: int, dfh: Dfh):
-        if dfh is Dfh.INITIAL:
+    def _signals(self, line_id: int, dfh: int):
+        if dfh == _INITIAL:
             if self.config.inverted_write_training:
                 # Section 5.6.2: the original+inverted read pair
                 # observes every active fault, masked or not.
@@ -169,13 +194,55 @@ class KilliScheme(ProtectionScheme):
             return self.errors.signals(
                 line_id, self.config.training_segments, use_ecc=True
             )
-        if dfh is Dfh.STABLE_1:
+        if dfh == _STABLE_1:
             return self.errors.signals(
                 line_id, self.config.stable_segments, use_ecc=True
             )
         return self.errors.signals(
             line_id, self.config.stable_segments, use_ecc=False
         )
+
+    def _classify(self, line_id: int, value: int, event: int) -> Classification:
+        """Classify the line's contents under DFH ``value``.
+
+        Table 2 from the SECDED signals (a fast-clean line skips the
+        signal derivation), or the strong-code table from the line's
+        error row.  ``event`` (``EVENT_READ`` / ``EVENT_TRAIN``) only
+        matters to the strong code.
+        """
+        if self.strong_table is not None:
+            row = self.errors.row(line_id)
+            return self.strong_classification(event, value, row)
+        if self._fast_clean(line_id, value):
+            return _CLEAN_CLS[value]
+        signals = self._signals(line_id, value)
+        return classify_cached(
+            value,
+            signals.sp_mismatches,
+            signals.syndrome_zero,
+            signals.global_parity_ok,
+        )
+
+    def strong_classification(
+        self, event: int, value: int, row: int
+    ) -> Classification:
+        """The strong-code table's cell for error ``row`` under DFH
+        ``value`` (pure in the row, so the cluster interpreter looks its
+        shadow rows up here too).
+
+        A b'00 read hit buckets the 4-bit segmented-parity mismatches;
+        every other cell buckets the codeword errors against
+        ``correct_t`` and checks the event's parity bits.
+        """
+        if value == _STABLE_0:
+            stable = self.config.stable_segments
+            sp = self.errors.kernel.signals_row(row, stable, False)[0] if row else 0
+            return self.strong_table[event][value][min(sp, 2)][False]
+        count = (row & self._codeword_mask).bit_count()
+        bucket = 0 if not count else 1 if count <= self.correct_t else 2
+        return self.strong_table[event][value][bucket][
+            (row & self._parity_masks[event]) != 0
+        ]
 
     def _set_dfh(self, line_id: int, old: int, new: int) -> None:
         # old/new compare and index as ints (IntEnum callers included).
@@ -189,16 +256,6 @@ class KilliScheme(ProtectionScheme):
             self._off_initial_in_set[set_index] += 1
         elif new == _INITIAL:
             self._off_initial_in_set[set_index] -= 1
-        if (old == _INITIAL or old == _STABLE_1) != (
-            new == _INITIAL or new == _STABLE_1
-        ):
-            self._unstable_in_set[set_index] += (
-                1 if (new == _INITIAL or new == _STABLE_1) else -1
-            )
-        if old == _DISABLED:
-            self._dfh_disabled_in_set[set_index] -= 1
-        elif new == _DISABLED:
-            self._dfh_disabled_in_set[set_index] += 1
         self._transitions_mv[old, new] += 1
         if self.cache is not None:
             # A DFH transition changes this line's classification
@@ -208,9 +265,9 @@ class KilliScheme(ProtectionScheme):
             self.cache.bump_set_epoch(set_index)
 
     def _apply_classification(
-        self, set_index: int, way: int, line_id: int, old: Dfh, cls: Classification
+        self, set_index: int, way: int, line_id: int, old: int, cls: Classification
     ) -> AccessOutcome:
-        """Commit a Table 2 classification and map it to a cache outcome."""
+        """Commit a read-hit classification and map it to a cache outcome."""
         self._set_dfh(line_id, old, cls.next_dfh)
         if cls.free_ecc_entry:
             self.ecc.remove(set_index, way)
@@ -226,7 +283,7 @@ class KilliScheme(ProtectionScheme):
 
         self.hits_served += 1
         if cls.action is DfhAction.CORRECT_AND_SEND:
-            if not self.errors.correction_is_sound(line_id):
+            if not self.errors.correction_is_sound(line_id, self.correct_t):
                 self.sdc_events += 1
             if self.cache is not None:
                 self.cache.stats.bump("ecc_corrections")
@@ -285,65 +342,42 @@ class KilliScheme(ProtectionScheme):
             return
         if value not in (_INITIAL, _STABLE_1):
             raise AssertionError("ECC entry existed for an unprotected line")
-        if self._fast_clean(line_id, value):
-            # Clean signals classify straight to b'00; line stays valid.
-            self._set_dfh(line_id, value, _STABLE_0)
-            self.cache.stats.bump("ecc_evict_reclassified_clean")
-            return
-        dfh = Dfh(value)
-        signals = self._signals(line_id, dfh)
-        cls = classify(
-            dfh,
-            signals.sp_mismatches,
-            signals.syndrome_zero,
-            signals.global_parity_ok,
-        )
-        self._set_dfh(line_id, dfh, cls.next_dfh)
-        if cls.next_dfh is Dfh.STABLE_0:
+        nxt = self._classify(line_id, value, EVENT_TRAIN).next_dfh
+        self._set_dfh(line_id, value, nxt)
+        if nxt is Dfh.STABLE_0:
             # Fault-free: 4-bit parity suffices; the line stays valid.
             self.cache.stats.bump("ecc_evict_reclassified_clean")
             return
-        if cls.next_dfh is Dfh.DISABLED:
+        if nxt is Dfh.DISABLED:
             self.cache.tags.disable(set_index, way)
             self.cache.lru.demote(set_index, way)
             self.cache.stats.bump("ecc_evict_disables")
             self.errors.clear(line_id)
             return
-        # Still needs SECDED (b'01 unresolved or b'10): unprotected
+        # Still needs its checkbits (b'01 unresolved or b'10): unprotected
         # data cannot stay resident.
         self.cache.invalidate_line(set_index, way, reason="ecc_evict")
 
     def on_read_hit(self, set_index: int, way: int) -> AccessOutcome:
         line_id = set_index * self._assoc + way
+        value = self.dfh[line_id]
         if self.soft_injector is not None:
             offsets = self.soft_injector.sample_event(self.layout.total_bits)
             if offsets is not None:
                 self.errors.add_soft_error(line_id, offsets)
-        else:
-            # Fast paths for lines whose classification is trivially
-            # clean — by far the most common case.  Clean signals
+        elif self._fast_clean(line_id, value):
+            # Fast path for lines whose classification is trivially
+            # clean — by far the most common case.  Clean contents
             # classify b'00 as-is and b'01 / b'10 back to b'00
-            # (freeing the ECC entry), exactly what the full Table 2
-            # path would do.
-            value = self.dfh[line_id]
-            if self._fast_clean(line_id, value):
-                if value == _STABLE_0:
-                    self.hits_served += 1
-                    return AccessOutcome.CLEAN
-                if value == _INITIAL or value == _STABLE_1:
-                    self._set_dfh(line_id, value, _STABLE_0)
-                    self.ecc.remove(set_index, way)
-                    self.hits_served += 1
-                    return AccessOutcome.CLEAN
-        dfh = self._dfh(line_id)
-        signals = self._signals(line_id, dfh)
-        cls = classify(
-            dfh,
-            signals.sp_mismatches,
-            signals.syndrome_zero,
-            signals.global_parity_ok,
-        )
-        return self._apply_classification(set_index, way, line_id, dfh, cls)
+            # (freeing the ECC entry), exactly what the full path
+            # would do.
+            if value != _STABLE_0:
+                self._set_dfh(line_id, value, _STABLE_0)
+                self.ecc.remove(set_index, way)
+            self.hits_served += 1
+            return AccessOutcome.CLEAN
+        cls = self._classify(line_id, value, EVENT_READ)
+        return self._apply_classification(set_index, way, line_id, value, cls)
 
     def hit_replay_info(self, set_index: int, way: int):
         """Memoize steady-state b'00 hits (the common case after warmup).
@@ -379,78 +413,24 @@ class KilliScheme(ProtectionScheme):
         self.hits_served += info[1] * count
         self.sdc_events += info[2] * count
 
-    def set_replay_profile(self, set_index: int):
-        """Guarded batched replay for stabilised sets.
-
-        A set qualifies when every enabled way is DFH b'00, no error
-        vector is non-empty and no ECC-cache entry points at it.
-        DISABLED ways are allowed (inert — their state was cleared at
-        disable time and the tag store never offers them again), and
-        lines may sit over *active* LV faults.  Hits then all take the
-        b'00 fast-clean path and evictions train nothing.
-
-        The two events such a set cannot replay out of order are
-        guarded instead of forbidden:
-
-        - a write hit on a line with active faults re-rolls masking
-          with the *shared* RNG (``unsafe_ways`` -> kernel abort);
-        - a fill whose deterministic masking coins leave unmasked
-          faults would store a non-empty error vector, breaking the
-          fast-clean invariant (batched ``fills_ok`` check -> kernel
-          abort at the first such fill).  Fills are RNG-free, so
-          predicting them with ``fills_would_be_clean`` is exact; the
-          salt replicates ``on_fill``'s (the cache tag,
-          ``line // n_sets``).
-
-        Aborted replays are discarded wholesale; the per-access path
-        then consumes the prefix plus the aborting access.
-        """
-        if self.soft_injector is not None:
-            return None
-        # Stabilised <=> no way in b'01/b'10: one O(1) counter probe.
-        if self._unstable_in_set[set_index]:
-            return None
-        base = set_index * self._assoc
-        stop = base + self._assoc
-        errors = self.errors
-        if errors.dirty_in_range(base, stop):
-            return None
-        if self.ecc.has_entries_for(set_index):
-            return None
-        if not errors.active_faults_in_range(base, stop):
-            return ((False, 1, 0), None, None)
-        dfh = self.dfh
-        unsafe = frozenset(
-            way
-            for way in range(self._assoc)
-            if dfh[base + way] == _STABLE_0
-            and errors.slot_has_active(base + way)
-        )
-        n_sets = self.geometry.n_sets
-
-        def fill_ok(way: int, line: int) -> bool:
-            return errors.fill_would_be_clean(base + way, line // n_sets)
-
-        def fills_ok(ways, line_nos) -> np.ndarray:
-            slots = base + np.asarray(ways, dtype=np.int64)
-            salts = np.asarray(line_nos, dtype=np.int64) // n_sets
-            return errors.fills_would_be_clean(slots, salts)
-
-        return ((False, 1, 0), None, make_replay_guard(unsafe, fill_ok, fills_ok))
-
     def batch_interpreter(self, cache):
         """Cluster-exact shadow interpreter for the batched engine.
 
-        Unlike the guarded set replay above, the interpreter
+        The interpreter
         (:class:`repro.core.killi_replay.KilliClusterInterpreter`)
         handles *every* set — DFH warmup, classification and ECC-cache
-        contention included — pausing at shared-RNG write hits until
-        the engine resumes it at their turn in the global order.
-        Gated to exactly this class (subclasses may change semantics
-        the interpreter replicates) and to runs without a soft-error
+        contention included, under Table 2 or the strong-code table —
+        pausing at shared-RNG write hits until the engine resumes it at
+        their turn in the global order.  Gated to classes that inherit
+        every hook the interpreter replicates from this one (a subclass
+        may change their semantics) and to runs without a soft-error
         injector (whose per-hit sampling draws shared RNG).
         """
-        if type(self) is not KilliScheme:
+        if not hooks_unchanged(
+            type(self),
+            _INTERPRETED_HOOKS,
+            owners=dict.fromkeys(_INTERPRETED_HOOKS, KilliScheme),
+        ):
             return None
         if self.soft_injector is not None:
             return None
@@ -476,20 +456,10 @@ class KilliScheme(ProtectionScheme):
         if value == _INITIAL and self.config.train_on_evict:
             # Section 4.4: classify the evicted contents so training
             # progresses without waiting for a hit.
-            dfh = Dfh.INITIAL
-            if self._fast_clean(line_id, value):
-                self._set_dfh(line_id, value, _STABLE_0)
-            else:
-                signals = self._signals(line_id, dfh)
-                cls = classify(
-                    dfh,
-                    signals.sp_mismatches,
-                    signals.syndrome_zero,
-                    signals.global_parity_ok,
-                )
-                self._set_dfh(line_id, dfh, cls.next_dfh)
-                if cls.next_dfh is Dfh.DISABLED:
-                    self.cache.tags.disable(set_index, way)
+            nxt = self._classify(line_id, value, EVENT_TRAIN).next_dfh
+            self._set_dfh(line_id, value, nxt)
+            if nxt is Dfh.DISABLED:
+                self.cache.tags.disable(set_index, way)
         self.ecc.remove(set_index, way)
         self.errors.clear(line_id)
 
@@ -519,8 +489,6 @@ class KilliScheme(ProtectionScheme):
     def on_reset(self) -> None:
         self._dfh_np[:] = _INITIAL
         self._off_initial_np[:] = 0
-        self._unstable_np[:] = self._assoc
-        self._dfh_disabled_np[:] = 0
         self.ecc.clear()
         self.errors.clear_all()
 

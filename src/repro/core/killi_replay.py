@@ -1,14 +1,15 @@
 """Cluster-exact batched replay interpreter for Killi.
 
-The batched engine's probe path (:func:`repro.cache.soa.replay_clean_set`)
-only batches *scheme-inert* sets; for Killi at low voltage that leaves
-the busiest part of the kernel — DFH warmup, ECC-cache contention,
-faulted-line classification — on the per-access Python path.  This
-module batches the *general* case instead: a shadow interpreter that
-simulates an arbitrary access subsequence with full Killi semantics
-(Table 2 classification, ECC-cache contention, eviction training,
-victim priorities) against copy-on-write state, then commits the net
-effect to the real cache/scheme structures in bulk.
+The batched engine's set-replay path
+(:func:`repro.cache.soa.replay_clean_set`) only batches *scheme-inert*
+sets; for Killi that would leave the busiest part of the kernel — DFH
+warmup, ECC-cache contention, faulted-line classification — on the
+per-access Python path.  This module batches the *general* case
+instead: a shadow interpreter that simulates an arbitrary access
+subsequence with full Killi semantics (Table 2 or strong-code
+classification, ECC-cache contention, eviction training, victim
+priorities) against copy-on-write state, then commits the net effect
+to the real cache/scheme structures in bulk.
 
 Each Killi event is stated once, mirroring
 :class:`~repro.core.killi.KilliScheme` and the write-through cache:
@@ -16,10 +17,14 @@ Each Killi event is stated once, mirroring
 insert), :meth:`~KilliClusterInterpreter._handle_ecc_eviction`
 (contention eviction), :meth:`~KilliClusterInterpreter._on_evict`
 (eviction training), :meth:`~KilliClusterInterpreter._read_hit` and
-:meth:`~KilliClusterInterpreter._classify` (Table 2, with the
-read-hit fast-clean shortcut).  :meth:`~KilliClusterInterpreter.run`
-only dispatches accesses to them; its one shortcut is the clean
-b'00 read hit, which reads the shadow and real state directly.
+:meth:`~KilliClusterInterpreter._classify`.  Classification looks the
+shadow contents up in the scheme's table, bound once at construction:
+Table 2 from the SECDED signals (with the fast-clean shortcut), or the
+strong-code table through
+:meth:`~repro.core.killi.KilliScheme.strong_classification`.
+:meth:`~KilliClusterInterpreter.run` only dispatches accesses to them;
+its one shortcut is the clean b'00 read hit, which reads the shadow
+and real state directly.
 
 Why clusters
 ------------
@@ -76,7 +81,15 @@ from __future__ import annotations
 from bisect import insort
 
 from repro.cache.soa import bulk_apply_set_replays, export_set_state
-from repro.core.dfh import FILL_PRIORITY, Dfh, DfhAction, classify_cached
+from repro.core.dfh import (
+    EVENT_READ,
+    EVENT_TRAIN,
+    FILL_PRIORITY,
+    Dfh,
+    DfhAction,
+    classify_cached,
+)
+from repro.core.killi import _CLEAN_CLS
 from repro.core.linestate import Signals
 from repro.metrics import METRICS
 from repro.testing.invariants import (
@@ -96,26 +109,13 @@ _DIS = int(Dfh.DISABLED)
 _PRIO_MAX = max(FILL_PRIORITY)
 
 
-def _occupancy(value: int) -> tuple:
-    """The per-set DFH counters (``KilliScheme._off_initial_in_set``,
-    ``_unstable_in_set``, ``_dfh_disabled_in_set``) a line in state
-    ``value`` counts toward."""
-    return (value != _INI, value == _INI or value == _S1, value == _DIS)
-
-
-#: Per flat transition ``old << 2 | new``: the deltas of those three
-#: counters.
-_OCCUPANCY_DELTA = tuple(
-    tuple(int(b) - int(a) for a, b in zip(_occupancy(old), _occupancy(new)))
-    for old in range(4)
-    for new in range(4)
+#: Per flat transition ``old << 2 | new``: the delta of the set's
+#: off-initial count (``KilliScheme._off_initial_in_set``).
+_OFF_INITIAL_DELTA = tuple(
+    (new != _INI) - (old != _INI) for old in range(4) for new in range(4)
 )
 
 _CLEAN_SIG = Signals(0, True, True)
-
-#: Table 2 under clean signals, per accessible DFH value: what a
-#: fast-clean line classifies to (b'00, send clean).
-_CLEAN_CLS = tuple(classify_cached(v, 0, True, True) for v in (_S0, _INI, _S1))
 
 #: Shadow row events per slot (``_Txn.slot_state``); a value >= 0 is
 #: the salt of a predicted fill.
@@ -160,8 +160,6 @@ class _SetShadow:
         "disabled",
         "dfh",
         "off_d",
-        "uns_d",
-        "dis_d",
     )
 
 
@@ -232,6 +230,14 @@ class KilliClusterInterpreter:
         self._prio_repl = config.priority_replacement
         self._train_segs = config.training_segments
         self._stable_segs = config.stable_segments
+        self._correct_t = scheme.correct_t
+        # The classification table, bound once: the strong code looks
+        # shadow rows up through the scheme's pure row function.
+        if scheme.strong_table is None:
+            self._lookup = self._lookup_table2
+        else:
+            self._lookup = self._lookup_strong
+            self._strong_classification = scheme.strong_classification
         self._lat_hit = cache._lat_hit
         self._lat_hit_corrected = cache._lat_hit_corrected
         self._lat_miss = cache._lat_miss
@@ -301,8 +307,6 @@ class KilliClusterInterpreter:
         base = set_index * self._assoc
         st.dfh = self._scheme._dfh_np[base : base + self._assoc].tolist()
         st.off_d = 0
-        st.uns_d = 0
-        st.dis_d = 0
         self._tx.sets[set_index] = st
         return st
 
@@ -447,8 +451,10 @@ class KilliClusterInterpreter:
     def _correction_sound(self, slot: int) -> bool:
         event = self._tx.slot_state.get(slot)
         if event is None:
-            return self._errors.correction_is_sound(slot)
-        return self._errors.row_correction_is_sound(self._row_of(slot, event))
+            return self._errors.correction_is_sound(slot, self._correct_t)
+        return self._errors.row_correction_is_sound(
+            self._row_of(slot, event), self._correct_t
+        )
 
     def _has_data_errors(self, slot: int) -> bool:
         event = self._tx.slot_state.get(slot)
@@ -458,21 +464,34 @@ class KilliClusterInterpreter:
 
     # -- scheme semantics (mirrors KilliScheme / WriteThroughCache) --------
 
-    def _classify(self, st: _SetShadow, slot: int, value: int):
-        """Table 2 on the slot's shadow contents under DFH ``value``;
-        applies the DFH transition (``KilliScheme._set_dfh``) and
-        returns the classification.
+    def _lookup_table2(self, slot: int, value: int, event: int):
+        """Table 2 on the slot's shadow contents (``event`` unused).
 
         A fast-clean slot skips the signal derivation: clean signals
         classify every accessible state to b'00, send clean.
         """
         if self._fast_clean(slot, value):
-            cls = _CLEAN_CLS[value]
+            return _CLEAN_CLS[value]
+        sig = self._signals(slot, value)
+        return classify_cached(
+            value, sig.sp_mismatches, sig.syndrome_zero, sig.global_parity_ok
+        )
+
+    def _lookup_strong(self, slot: int, value: int, event: int):
+        """The strong-code table on the slot's shadow row."""
+        state = self._tx.slot_state.get(slot)
+        if state is None:
+            row = self._errors._rows[slot]
         else:
-            sig = self._signals(slot, value)
-            cls = classify_cached(
-                value, sig.sp_mismatches, sig.syndrome_zero, sig.global_parity_ok
-            )
+            row = self._row_of(slot, state)
+        return self._strong_classification(event, value, row)
+
+    def _classify(self, st: _SetShadow, slot: int, value: int, event: int):
+        """Classify the slot's shadow contents under DFH ``value`` for
+        ``event`` (``KilliScheme._classify``); applies the DFH
+        transition (``KilliScheme._set_dfh``) and returns the
+        classification."""
+        cls = self._lookup(slot, value, event)
         new = int(cls.next_dfh)
         if new != value:
             tx = self._tx
@@ -480,17 +499,14 @@ class KilliClusterInterpreter:
             tx.trans[key] += 1
             tx.dfh_over[slot] = new
             st.dfh[slot % self._assoc] = new
-            d_off, d_uns, d_dis = _OCCUPANCY_DELTA[key]
-            st.off_d += d_off
-            st.uns_d += d_uns
-            st.dis_d += d_dis
+            st.off_d += _OFF_INITIAL_DELTA[key]
         return cls
 
     def _read_hit(self, st: _SetShadow, slot: int, value: int) -> int:
         """Read-hit classification (``_apply_classification``); returns
         0 CLEAN, 1 CORRECTED, 2 retrain miss, 3 disable miss."""
         tx = self._tx
-        cls = self._classify(st, slot, value)
+        cls = self._classify(st, slot, value, EVENT_READ)
         if cls.free_ecc_entry or cls.action is DfhAction.ERROR_MISS:
             self._ecc_remove(slot)
         if cls.action is DfhAction.ERROR_MISS:
@@ -539,7 +555,7 @@ class KilliClusterInterpreter:
             return
         if value != _INI and value != _S1:
             raise AssertionError("ECC entry existed for an unprotected line")
-        nxt = self._classify(st, slot, value).next_dfh
+        nxt = self._classify(st, slot, value, EVENT_TRAIN).next_dfh
         if nxt is Dfh.STABLE_0:
             tx.reclass_clean += 1
         elif nxt is Dfh.DISABLED:
@@ -554,7 +570,8 @@ class KilliClusterInterpreter:
         way = slot % self._assoc
         value = st.dfh[way]
         if value == _INI and self._train_on_evict:
-            if self._classify(st, slot, value).next_dfh is Dfh.DISABLED:
+            nxt = self._classify(st, slot, value, EVENT_TRAIN).next_dfh
+            if nxt is Dfh.DISABLED:
                 self._drop_way(st, way, True)
         self._ecc_remove(slot)
         self._track_clear(slot)
@@ -772,8 +789,6 @@ class KilliClusterInterpreter:
         assoc = self._assoc
         scheme = self._scheme
         off_mv = scheme._off_initial_in_set
-        uns_mv = scheme._unstable_in_set
-        dis_mv = scheme._dfh_disabled_in_set
         stamp_clear = [-1] * assoc
         pending = []
         for set_index, st in tx.sets.items():
@@ -805,10 +820,6 @@ class KilliClusterInterpreter:
             stamp[base : base + assoc] = stamp_clear
             if st.off_d:
                 off_mv[set_index] += st.off_d
-            if st.uns_d:
-                uns_mv[set_index] += st.uns_d
-            if st.dis_d:
-                dis_mv[set_index] += st.dis_d
         if pending:
             bulk_apply_set_replays(tags, cache.lru, pending)
         if tx.dfh_over:
@@ -820,23 +831,20 @@ class KilliClusterInterpreter:
                 if count:
                     trans_mv[key >> 2, key & 3] += count
         # ECC cache: key-list writeback plus a membership diff for the
-        # O(1) mirrors.
+        # O(1) mirror.
         ecc = self._ecc
         entries = ecc._sets[tx.cluster]
         new_entries = [(key // assoc, key % assoc) for key in tx.ecc_entries]
         if entries != new_entries:
             if ecc._l2_assoc is not None:
                 member = ecc._member
-                count_for_set = ecc._count_for_set
                 l2_assoc = ecc._l2_assoc
                 old_keys = set(entries)
                 new_keys = set(new_entries)
                 for key_set, key_way in old_keys - new_keys:
                     member[key_set * l2_assoc + key_way] = False
-                    count_for_set[key_set] -= 1
                 for key_set, key_way in new_keys - old_keys:
                     member[key_set * l2_assoc + key_way] = True
-                    count_for_set[key_set] += 1
             entries[:] = new_entries
         ecc.accesses += tx.ecc_acc
         ecc.allocations += tx.ecc_alloc

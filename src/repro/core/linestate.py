@@ -124,14 +124,12 @@ class LineErrorModel:
     ):
         self.fault_map = fault_map
         # CSR view of the faults active at the operating voltage: an
-        # offsets list plus the positions as a plain list (the row
-        # paths) and as an array (the vectorized fills_would_be_clean).
-        # Pure in the voltage, so built lazily and dropped by the
-        # voltage setter.  The fill path probes two offsets to detect
-        # the (dominant) "no active faults" case.
+        # offsets list plus the positions as a plain list.  Pure in the
+        # voltage, so built lazily and dropped by the voltage setter.
+        # The fill path probes two offsets to detect the (dominant)
+        # "no active faults" case.
         self._act_offsets = None
         self._act_positions = None
-        self._act_array = None
         self.voltage = voltage
         self.rng = rng
         self.layout = layout if layout is not None else LineLayout()
@@ -170,7 +168,6 @@ class LineErrorModel:
         self._voltage = value
         self._act_offsets = None
         self._act_positions = None
-        self._act_array = None
 
     # -- state updates ----------------------------------------------------
 
@@ -207,7 +204,6 @@ class LineErrorModel:
             offsets[1:] = counts.tolist()
         self._act_offsets = offsets
         self._act_positions = positions.tolist()
-        self._act_array = positions
         return offsets
 
     def _active_positions(self, line_id: int) -> list:
@@ -247,79 +243,6 @@ class LineErrorModel:
         else:
             self._clear_row(line_id)
 
-    def slot_has_active(self, line_id: int) -> bool:
-        """Any active LV faults in this physical slot at the current
-        voltage?  (True means ``on_write_hit`` would draw shared RNG
-        and ``on_fill`` would roll the masking coins.)"""
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        return offsets[line_id] != offsets[line_id + 1]
-
-    def fill_would_be_clean(self, line_id: int, salt: int = 0) -> bool:
-        """Would :meth:`on_fill` leave this slot's error vector empty?
-
-        Pure prediction — evaluates the same deterministic masking
-        coins ``on_fill`` uses (fills never touch the shared RNG) and
-        mutates nothing.
-        """
-        return not self.predicted_fill_row(line_id, salt)
-
-    @staticmethod
-    def _masking_coins_many(
-        line_ids: np.ndarray, salts: np.ndarray, positions: np.ndarray
-    ) -> np.ndarray:
-        """The masking coins of :meth:`predicted_fill_row` over aligned
-        arrays (True = unmasked).
-
-        Same splitmix64 mix per element — ``uint64`` multiplies wrap
-        exactly like the integer path's ``& _MASK64``.
-        """
-        x = positions.astype(np.uint64) * np.uint64(_MIX_POSITION)
-        x ^= line_ids.astype(np.uint64) * np.uint64(_MIX_1)
-        x ^= (salts.astype(np.uint64) + np.uint64(1)) * np.uint64(_MIX_2)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_MIX_1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_MIX_2)
-        x ^= x >> np.uint64(31)
-        return ((x >> np.uint64(13)) & np.uint64(1)).astype(bool)
-
-    def fills_would_be_clean(self, line_ids, salts) -> np.ndarray:
-        """Batched :meth:`fill_would_be_clean` over aligned arrays.
-
-        One vectorized coin evaluation for a whole replay window's
-        candidate fills instead of a Python call per (slot, line)
-        pair.  Returns a bool array: True where ``on_fill(line_ids[i],
-        salts[i])`` would leave an empty error vector.
-        """
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        line_ids = np.asarray(line_ids, dtype=np.int64)
-        salts = np.asarray(salts, dtype=np.int64)
-        off = np.asarray(offsets, dtype=np.int64)
-        starts = off[line_ids]
-        counts = off[line_ids + 1] - starts
-        clean = np.ones(len(line_ids), dtype=bool)
-        faulted = np.flatnonzero(counts)
-        if not len(faulted):
-            return clean
-        reps = counts[faulted]
-        # Concatenated per-pair aranges into the active-position CSR.
-        flat = np.arange(int(reps.sum()), dtype=np.int64)
-        flat -= np.repeat(np.cumsum(reps) - reps, reps)
-        positions = self._act_array[np.repeat(starts[faulted], reps) + flat]
-        coins = self._masking_coins_many(
-            np.repeat(line_ids[faulted], reps),
-            np.repeat(salts[faulted], reps),
-            positions,
-        )
-        unmasked = np.zeros(len(faulted), dtype=bool)
-        np.logical_or.at(unmasked, np.repeat(np.arange(len(faulted)), reps), coins)
-        clean[faulted] = ~unmasked
-        return clean
-
     def predicted_fill_row(self, line_id: int, salt: int) -> int:
         """The row :meth:`on_fill` *would* store (0 = clean): the line's
         active faults that the data identified by ``salt`` leaves
@@ -327,8 +250,7 @@ class LineErrorModel:
 
         A stuck-at cell is *masked* exactly when the written bit equals
         its stuck value: a deterministic fair coin per (line, data
-        identity, fault) — bit 13 of a splitmix64 mix, the same mix as
-        :meth:`_masking_coins_many` in plain integer arithmetic.  Data
+        identity, fault) — bit 13 of a splitmix64 mix.  Data
         contents are identified by ``salt`` (the cache tag): refilling
         the same address reinstalls the same data, so the same faults
         are masked again — the property that lets Killi's
@@ -473,27 +395,6 @@ class LineErrorModel:
         per_line[key] = signals
         return signals
 
-    def dirty_in_range(self, start: int, stop: int) -> bool:
-        """Any line in ``[start, stop)`` with a non-empty error vector?
-
-        Set-level probe for the batched replay engine: a scheme-inert
-        set must have every resident line's effective vector empty.
-        """
-        return any(self._rows[start:stop])
-
-    def active_faults_in_range(self, start: int, stop: int) -> bool:
-        """Any *active* LV fault (masked or not) in lines ``[start, stop)``?
-
-        O(1) via the active-fault CSR of the current voltage: lines
-        without active faults can never grow an error vector from their
-        own fills or write hits, which is what lets the batched engine
-        skip the per-access error-model calls for them.
-        """
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        return offsets[stop] > offsets[start]
-
     def has_observable_faults(self, line_id: int) -> bool:
         """Would the inverted-write read pair observe any fault?
 
@@ -583,21 +484,22 @@ class LineErrorModel:
         global_parity_ok = (len(codeword_flips) & 1) == 0
         return Signals(sp_mismatches, syndrome == 0, global_parity_ok, data_errors)
 
-    def correction_is_sound(self, line_id: int, use_ecc: bool = True) -> bool:
-        """Would SECDED's single-error correction restore the true data?
+    def correction_is_sound(self, line_id: int, correct_t: int = 1) -> bool:
+        """Would a ``correct_t``-error-correcting decode (SECDED: 1)
+        restore the true data?
 
-        True iff the codeword error vector has weight exactly one (the
-        decoder then flips precisely that bit).  When the controller
-        issues CORRECT_AND_SEND on a heavier vector the result is a
-        silent data corruption, which the harness counts.
+        True iff the codeword error vector has weight at most
+        ``correct_t`` (the decoder then flips precisely those bits).
+        When the controller issues CORRECT_AND_SEND on a heavier vector
+        the result is a silent data corruption, which the harness
+        counts.
         """
-        return self.row_correction_is_sound(self._rows[line_id], use_ecc)
+        return self.row_correction_is_sound(self._rows[line_id], correct_t)
 
-    def row_correction_is_sound(self, row: int, use_ecc: bool = True) -> bool:
+    def row_correction_is_sound(self, row: int, correct_t: int = 1) -> bool:
         """:meth:`correction_is_sound` for an explicit row."""
         kernel = self.kernel
-        mask = kernel.codeword_row_mask if use_ecc else kernel.data_row_mask
-        if (row & mask).bit_count() == 1:
+        if (row & kernel.codeword_row_mask).bit_count() <= correct_t:
             return True
         # Heavier vectors: sound only if no *data* bit is wrong after
         # the decoder's (mis)correction; conservatively require that

@@ -13,17 +13,18 @@ Two interchangeable inner loops implement the model:
 
 - ``engine="batched"`` (default): simulates each CU's private L1
   stream in one pass, then batches the L2-bound residue.  A scheme
-  with a batch interpreter (write-through Killi without soft errors,
-  :mod:`repro.core.killi_replay`) has the whole residue simulated per
-  ECC-contention cluster and committed in bulk, pausing only at
-  shared-RNG write hits, so none of its accesses fall back.  Other
-  schemes partition the residue by L2 set and replay every
-  *scheme-inert* set through the batched set kernel
-  (:func:`~repro.cache.soa.replay_clean_set`) — no per-access Python
-  call at all; sets with scheme-relevant lines fall back to the exact
-  per-access path in original global order, as does the whole residue
-  of a cache that refuses bulk replay.  Bank conflicts and the stats
-  deltas are applied in bulk.
+  with a batch interpreter (write-through Killi, SECDED or strong
+  code, without soft errors: :mod:`repro.core.killi_replay`) has the
+  whole residue simulated per ECC-contention cluster and committed in
+  bulk, pausing only at shared-RNG write hits, so none of its accesses
+  fall back.  Other schemes partition the residue by L2 set: each set
+  is decided once, before the kernel runs — a *scheme-inert* set
+  replays through the batched set kernel
+  (:func:`~repro.cache.soa.replay_clean_set`) with no per-access
+  Python call at all, any other set runs the exact per-access path in
+  original global order, as does the whole residue of a cache that
+  refuses bulk replay.  Bank conflicts and the stats deltas are
+  applied in bulk.
 - ``engine="scalar"``: the original per-round Python loop, kept as
   the reference implementation.
 
@@ -347,14 +348,6 @@ class GpuSimulator:
         order = np.lexsort((cus, pos))
         return base, (addrs_arr[order], stores_arr[order], cus[order], pos[order])
 
-    #: A set that fails its inertness probe is re-probed after this many
-    #: of its *own* accesses have run per-access; the interval doubles
-    #: per failed probe up to the MAX.  Probing only decides *when* a
-    #: set's tail starts batching — results are schedule-independent —
-    #: so both values are pure performance knobs, exposed for tests.
-    BATCH_PROBE_INTERVAL = 4
-    BATCH_PROBE_INTERVAL_MAX = 16
-
     def _run_batched(self, trace: Trace) -> list:
         """Set-partitioned batched replay of the L2-bound residue.
 
@@ -369,25 +362,20 @@ class GpuSimulator:
         - A set the cache hands a *replay profile* for
           (:meth:`~repro.cache.core.CacheModel.set_replay_profile`)
           is simulated by :func:`~repro.cache.soa.replay_clean_set` —
-          plain set-associative LRU over the set's subsequence, O(1)
-          per access, no scheme or stats dispatch.  The profile may
-          mark per-way CORRECTED hits (MBIST oracles' faulty-but-
-          correctable lines) and carry a guard that aborts the replay
-          on the rare events that must run in global order (shared-RNG
-          write hits, unmasking fills); an un-aborted replay consumes
-          the set's *entire remaining* subsequence at once, and
-          tag/LRU state plus the aggregate stat deltas are applied in
-          bulk afterwards
+          plain set-associative LRU over the set's whole subsequence,
+          O(1) per access, no scheme or stats dispatch.  The profile
+          may mark per-way CORRECTED hits (MBIST oracles' faulty-but-
+          correctable lines); tag/LRU state plus the aggregate stat
+          deltas are applied in bulk afterwards
           (:meth:`~repro.cache.core.CacheModel.commit_set_replays`).
         - All other accesses run through ``l2.read`` / ``l2.write`` in
           original global order — preserving the RNG draw sequence and
-          the ECC-cache interleave across sets, which is what keeps
-          cycles, stats and DFH state bit-identical to the reference.
+          the shared-structure interleave across sets, which is what
+          keeps cycles, stats and scheme state bit-identical to the
+          reference.
 
-        Each set is probed on its first access and re-probed with
-        per-set exponential backoff while it stays dirty, so sets that
-        *become* inert mid-kernel — e.g. Killi sets finishing DFH
-        warmup — still batch their tails shortly after converging.
+        Profiles are fixed for a kernel, so each set is asked once,
+        before the first access.
         """
         n_cus = self.config.n_cus
         telemetry = METRICS.enabled
@@ -432,7 +420,6 @@ class GpuSimulator:
         clean_done: set = set()
         miss_all: list = []
         pending: list = []  # deferred (set, way_lines, resident, touch_order)
-        n_fallback = 0
         l2_read = l2.read
         l2_write = l2.write
 
@@ -447,8 +434,9 @@ class GpuSimulator:
             # Only the per-access paths need addresses and CU ids.
             addrs_list = r_addrs.tolist()
             cus_list = r_cus.tolist()
-        guard_aborts = 0
+        pauses = 0
         interp_done = False
+        loop_idx = range(0)  # per-access positions
         if interp is not None:
             # Stage 3': cluster interpretation.  The scheme's shared-
             # structure contention couples L2 sets only within ECC-set
@@ -490,7 +478,7 @@ class GpuSimulator:
             heapq.heapify(heap)
             while heap:
                 _, c, k = heapq.heappop(heap)
-                guard_aborts += 1
+                pauses += 1
                 idxs = cluster_groups[c]
                 k = interp.run(
                     c, idxs, k, lines_list, stores_list, lat_list, sets_list
@@ -511,40 +499,30 @@ class GpuSimulator:
                 for s, a, b in zip(uniq_sets, starts, bounds)
             }
             lines_list = line_nos.tolist()
-            sets_list = set_idx.tolist()
-            lat_tag = l2._lat_tag
             lat_groups: dict = {}  # hit latency -> per-set index arrays
             bulk_hits: dict = {}  # replay info -> batched read hits
             agg = [0, 0, 0, 0, 0]  # reads, read_hits, writes, write_hits, evs
-            seen: dict = {}  # set -> accesses already run per-access
-            probe_left: dict = {}  # set -> own accesses until next probe
-            probe_iv: dict = {}  # set -> current backed-off interval
-            replay_profile = l2.set_replay_profile
             tags, lru = l2.tags, l2.lru
-            iv0 = self.BATCH_PROBE_INTERVAL
-            iv_max = self.BATCH_PROBE_INTERVAL_MAX
             corrected_all: list = []
 
-            def consume_tail(s, start, prof):
-                """Replay set ``s``'s remaining subsequence in batch.
-
-                Returns None on success.  On a guard abort, returns the
-                offset into the tail of the access that cannot replay —
-                nothing was committed, and the caller schedules the
-                per-access path to consume at least through that access
-                before re-probing (the replay prefix is exact, so the
-                same abort recurs until the event itself has run).
-                """
-                info, corrected_ways, guard = prof
-                idx_np = groups[s][start:]
+            # Stage 3a: each set is decided once, upfront.  A set with a
+            # replay profile is inert for the whole kernel: its entire
+            # subsequence replays in batch and its accesses never enter
+            # the per-access loop — for statically-inert schemes
+            # (baseline, MBIST oracles) this removes the entire
+            # per-access iteration, not just the L2 dispatch.
+            for s, idx_np in groups.items():
+                prof = l2.set_replay_profile(s)
+                if prof is None:
+                    continue
+                info, corrected_ways = prof
                 way_lines, seed, free_ways = export_set_state(tags, lru, s)
-                res = replay_clean_set(
-                    seed, free_ways, idx_np.tolist(), lines_list,
-                    stores_list, corrected_ways, guard,
+                resident, touch_order, rh, wh, ev, miss_positions, corr = (
+                    replay_clean_set(
+                        seed, free_ways, idx_np.tolist(), lines_list,
+                        stores_list, corrected_ways,
+                    )
                 )
-                if type(res) is int:
-                    return res
-                resident, touch_order, rh, wh, ev, miss_positions, corr = res
                 pending.append((s, way_lines, resident, touch_order))
                 reads_sub = rh + len(miss_positions)
                 agg[0] += reads_sub
@@ -558,96 +536,45 @@ class GpuSimulator:
                 hit_lat = l2._lat_hit_corrected if info[0] else l2._lat_hit
                 lat_groups.setdefault(hit_lat, []).append(idx_np)
                 clean_done.add(s)
-                return None
 
-            # Stage 3a: upfront probe.  A set that is already inert
-            # batches wholesale and its accesses never enter the loop
-            # at all — for statically-inert schemes (baseline, MBIST
-            # oracles) this removes the entire per-access iteration,
-            # not just the L2 dispatch.  Inertness is monotone, so
-            # probing before the first access instead of at it cannot
-            # change the replayed state.  A set that fails here keeps
-            # ``probe_left == 0`` and is re-probed at its first access,
-            # exactly as if the upfront probe had not happened.
-            for s in groups:
-                prof = replay_profile(s)
-                if prof is not None:
-                    k = consume_tail(s, 0, prof)
-                    if k is not None:
-                        # Guard abort before any access ran: the first
-                        # k accesses replay, the (k+1)-th cannot — run
-                        # all k+1 per-access, then re-probe.
-                        guard_aborts += 1
-                        probe_left[s] = k + 1
-
-            if len(clean_done) == len(groups):
-                loop_idx = ()
-            elif clean_done:
+            # Every other set runs per access.
+            if not clean_done:
+                loop_idx = range(n)
+            elif len(clean_done) < len(groups):
                 batched_sets = np.zeros(n_sets, dtype=bool)
                 batched_sets[np.fromiter(clean_done, dtype=np.int64)] = True
                 loop_idx = np.flatnonzero(~batched_sets[set_idx]).tolist()
-            else:
-                loop_idx = range(n)
-
-            for i in loop_idx:
-                s = sets_list[i]
-                if s in clean_done:
-                    continue
-                left = probe_left.get(s, 0)
-                if left > 0:
-                    probe_left[s] = left - 1
-                else:
-                    prof = replay_profile(s)
-                    if prof is not None:
-                        k = consume_tail(s, seen.get(s, 0), prof)
-                        if k is None:
-                            # Inert from here on: tail fully consumed.
-                            continue
-                        # Guard abort at tail offset k; this access is
-                        # offset 0 and runs below, so k more pass
-                        # per-access before the next probe.
-                        guard_aborts += 1
-                        probe_left[s] = k
-                    else:
-                        iv = probe_iv.get(s, iv0)
-                        probe_left[s] = iv
-                        if iv < iv_max:
-                            probe_iv[s] = iv * 2
-                seen[s] = seen.get(s, 0) + 1
-                if stores_list[i]:
-                    latency_py[cus_list[i]] += l2_write(addrs_list[i])
-                else:
-                    latency_py[cus_list[i]] += l2_read(addrs_list[i])
-                n_fallback += 1
-
-            if pending:
-                # Deferred state write-back, batched stat deltas and
-                # scheme bulk hooks all land through the transaction
-                # layer's single commit point; only the per-access
-                # latency classes stay engine-side.  ``corrected_all``
-                # are per-way CORRECTED hits (oracle faulty-but-within-
-                # budget lines): +1 cycle over their set's base hit
-                # latency, scheme-side effects already covered by the
-                # set's uniform ``info``.
-                l2.commit_set_replays(
-                    pending, agg, len(miss_all), bulk_hits, len(corrected_all)
-                )
-                for hit_lat, arrs in lat_groups.items():
-                    cat = arrs[0] if len(arrs) == 1 else np.concatenate(arrs)
-                    lat[cat] = np.where(r_stores[cat], lat_tag, hit_lat)
-                if corrected_all:
-                    lat[np.asarray(corrected_all, dtype=np.int64)] = (
-                        l2._lat_hit_corrected
-                    )
-                if miss_all:
-                    lat[np.asarray(miss_all, dtype=np.int64)] = l2._lat_miss
         else:
-            for i in range(n):
-                if stores_list[i]:
-                    latency_py[cus_list[i]] += l2_write(addrs_list[i])
-                else:
-                    latency_py[cus_list[i]] += l2_read(addrs_list[i])
-            n_fallback = n
+            loop_idx = range(n)
+
+        # The per-access path, in original global order.
+        for i in loop_idx:
+            if stores_list[i]:
+                latency_py[cus_list[i]] += l2_write(addrs_list[i])
+            else:
+                latency_py[cus_list[i]] += l2_read(addrs_list[i])
+        n_fallback = len(loop_idx)
+
+        if pending:
+            # Deferred state write-back, batched stat deltas and scheme
+            # bulk hooks all land through the transaction layer's
+            # single commit point; only the per-access latency classes
+            # stay engine-side.  ``corrected_all`` are per-way CORRECTED
+            # hits (oracle faulty-but-within-budget lines): +1 cycle
+            # over their set's base hit latency, scheme-side effects
+            # already covered by the set's uniform ``info``.
+            l2.commit_set_replays(
+                pending, agg, len(miss_all), bulk_hits, len(corrected_all)
+            )
+            for hit_lat, arrs in lat_groups.items():
+                cat = arrs[0] if len(arrs) == 1 else np.concatenate(arrs)
+                lat[cat] = np.where(r_stores[cat], l2._lat_tag, hit_lat)
+            if corrected_all:
+                lat[np.asarray(corrected_all, dtype=np.int64)] = (
+                    l2._lat_hit_corrected
+                )
+            if miss_all:
+                lat[np.asarray(miss_all, dtype=np.int64)] = l2._lat_miss
 
         latency_np = np.zeros(n_cus, dtype=np.int64)
         if pending or interp_done:
@@ -662,8 +589,10 @@ class GpuSimulator:
             METRICS.incr("engine.batched.accesses_batched", n - n_fallback)
             METRICS.incr("engine.batched.accesses_fallback", n_fallback)
             scheme_name = type(l2.scheme).__name__
+            # The counter keeps its historical name: perfbench's
+            # fidelity check reads it.
             METRICS.incr(
-                f"engine.batched.guard_aborts.{scheme_name}", guard_aborts
+                f"engine.batched.guard_aborts.{scheme_name}", pauses
             )
             METRICS.incr(
                 f"engine.batched.fallback.{scheme_name}", n_fallback

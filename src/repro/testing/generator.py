@@ -29,7 +29,7 @@ from repro.scenario.registries import WORKLOAD_REGISTRY
 
 __all__ = ["ScenarioFuzzer"]
 
-#: Scheme pool: the full Figure 4/5 axis plus a strong-code variant.
+#: Scheme pool: the full Figure 4/5 axis plus two strong-code variants.
 #: Plain-Killi ratios are over-weighted — they exercise the DFH/ECC
 #: machinery the batched interpreter models.
 _SCHEMES = (
@@ -42,6 +42,7 @@ _SCHEMES = (
     "killi_1:64",
     "killi_1:64",
     "killi_1:256",
+    "killi+dected_1:8",
     "killi+olsc-t11_1:8",
 )
 

@@ -367,6 +367,21 @@ def _row(offsets) -> int:
     return sum(1 << offset for offset in offsets)
 
 
+def _masking_coins(line_ids, salts, positions):
+    """Vectorized splitmix64 masking coins (True = unmasked): an
+    independent numpy form of the integer mix in ``predicted_fill_row``
+    (``uint64`` multiplies wrap like its ``& 2**64 - 1``)."""
+    x = positions.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x ^= line_ids.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
+    x ^= (salts.astype(np.uint64) + np.uint64(1)) * np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return ((x >> np.uint64(13)) & np.uint64(1)).astype(bool)
+
+
 class TestRowDerivations:
     """The integer row paths, pinned to the vectorized coins and to rows
     recorded from the packed-matrix implementation they replaced."""
@@ -387,21 +402,16 @@ class TestRowDerivations:
             np.cumsum(counts) - counts, counts
         )
         pair_positions = positions[np.repeat(starts, counts) + flat]
-        coins = LineErrorModel._masking_coins_many(
-            slots[pair_of], salts[pair_of], pair_positions
-        )
+        coins = _masking_coins(slots[pair_of], salts[pair_of], pair_positions)
         want = [0] * n_pairs
         for pair, position in zip(
             pair_of[coins].tolist(), pair_positions[coins].tolist()
         ):
             want[pair] |= 1 << position
-        clean = model.fills_would_be_clean(slots, salts)
         for i, (slot, salt) in enumerate(zip(slots.tolist(), salts.tolist())):
             model.on_fill(slot, salt)
             assert model.row(slot) == want[i], (slot, salt)
             assert model.predicted_fill_row(slot, salt) == want[i]
-            assert model.fill_would_be_clean(slot, salt) == (want[i] == 0)
-            assert bool(clean[i]) == (want[i] == 0)
 
     @pytest.mark.parametrize(
         "slot,salt,active,unmasked",

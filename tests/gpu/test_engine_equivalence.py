@@ -5,7 +5,7 @@ scheme, both inner loops produce bit-identical cycles, per-CU cycles
 and every CacheStats counter (L2 and all L1s).
 Pinned here on a workload x scheme matrix, a seeded randomized fuzz
 sweep, and directed edge cases (ragged streams, bank conflicts, empty
-traces, disabled ways, guard aborts, 100%-fallback schemes,
+traces, disabled ways, 100%-fallback schemes,
 write-back cells, multi-kernel runs).
 """
 
@@ -85,7 +85,7 @@ class TestRandomizedSweep:
     the result dict.  The scheme sample covers the inert baseline, all
     three MBIST-oracle families (per-way CORRECTED replay, disabled
     ways, FLAIR's configuration-gated filtering) and two Killi ratios
-    (guarded replay, DFH warmup fallback).
+    (the cluster interpreter under heavy and light ECC contention).
     """
 
     CASES = [
@@ -244,19 +244,6 @@ class FallbackScheme(UnprotectedScheme):
         self.fills += 1
 
 
-class AbortingScheme(UnprotectedScheme):
-    """Spurious guard aborts: the guard may abort any time (the engine
-    then falls back per-access, which is always exact), so an
-    over-eager guard must never change results — only slow things
-    down.  Way 0 is 'unsafe' and every third line 'unmaskable'."""
-
-    def set_replay_profile(self, set_index: int):
-        def fill_ok(way, line):
-            return line % 3 != 1
-
-        return ((False, 0, 0), None, (frozenset([0]), fill_ok))
-
-
 class TestBatchedFallback:
     def _counters(self):
         snap = METRICS.snapshot()
@@ -286,27 +273,6 @@ class TestBatchedFallback:
             assert 0 < residue <= n
         finally:
             METRICS.disable()
-
-    def test_spurious_guard_aborts_are_exact(self):
-        rng = np.random.default_rng(12)
-        trace = random_trace(rng, footprint=32 * 1024)
-        METRICS.enable(propagate_env=False)
-        try:
-            METRICS.reset()
-            self.run_batched_vs_scalar(AbortingScheme, trace)
-            counters = self._counters()
-            # The guard aborts constantly but sets without unsafe events
-            # still batch.
-            assert counters.get("engine.batched.accesses_batched", 0) > 0
-            assert counters.get("engine.batched.accesses_fallback", 0) > 0
-        finally:
-            METRICS.disable()
-
-    def test_small_probe_interval(self, monkeypatch):
-        """Aggressive re-probing changes scheduling, never results."""
-        monkeypatch.setattr(GpuSimulator, "BATCH_PROBE_INTERVAL", 1)
-        monkeypatch.setattr(GpuSimulator, "BATCH_PROBE_INTERVAL_MAX", 2)
-        assert_identical("xsbench", "killi_1:64", accesses=400)
 
     def test_corrected_way_replay(self):
         """Oracle sets containing correctable faulty ways batch with

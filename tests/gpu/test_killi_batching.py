@@ -7,7 +7,10 @@ loop.  These tests pin the pieces that make that sound:
 - engine equivalence including the *scheme-side* state the
   generic matrix does not compare (DFH histogram, transition counts,
   SDC events, ECC-cache counters), under the non-default Killi
-  policies too, across kernels and with errors injected between them;
+  policies and the strong-code table too, across kernels and with
+  errors injected between them;
+- the interpreter gate: strong-code Killi never falls back, while
+  subclasses overriding a hook and soft-error runs are refused;
 - directed shared-RNG write hits that must pause the interpreter and
   run in the shadow at their global turn, bit-identically — alone and
   interleaved across two clusters — with the armed RNG-conservation
@@ -15,9 +18,8 @@ loop.  These tests pin the pieces that make that sound:
 - the interpreter's materialization / pause / commit counters;
 - per-set epoch isolation (a DFH transition in one set must not evict
   memoized hits in another);
-- the ECC cache's O(1) membership mirrors against the plain key lists;
-- the precomputed Table 2 kernels against the reference dispatch;
-- the batched fill-cleanliness predicate against its scalar form.
+- the ECC cache's O(1) membership mirror against the plain key lists;
+- the precomputed Table 2 kernels against the reference dispatch.
 """
 
 import numpy as np
@@ -34,6 +36,8 @@ from repro.core.dfh import (
     classify_cached,
 )
 from repro.core.ecc_cache import EccCache
+from repro.core.killi import KilliScheme
+from repro.faults.soft_errors import SoftErrorInjector
 from repro.gpu.config import GpuConfig
 from repro.gpu.engine import ENGINES, GpuSimulator
 from repro.harness.runner import fault_map_for, make_scheme
@@ -52,6 +56,15 @@ def build_sim(engine, scheme_name, seed, voltage=0.625):
     )
     sim = GpuSimulator(gpu_config, scheme, engine=engine)
     return sim, scheme
+
+
+def has_active(errors, slot):
+    """Any active LV fault in ``slot``?  (A write hit there re-rolls
+    masking with the shared RNG.)"""
+    offsets = errors._act_offsets
+    if offsets is None:
+        offsets = errors._ensure_active()
+    return offsets[slot + 1] > offsets[slot]
 
 
 def scheme_state_key(result, sim, scheme):
@@ -102,6 +115,24 @@ class TestInterpreterEquivalence:
         )
     ]
 
+    #: Strong-code Killi: the same interpreter on the strong table, at
+    #: and below the SECDED Vmin, and under the non-default policies.
+    STRONG_CASES = [
+        (workload, scheme_name, seed, 2500, voltage, {})
+        for workload, scheme_name, seed in (
+            ("nekbone", "killi+dected_1:8", 11),
+            ("fft", "killi+olsc-t11_1:8", 5),
+        )
+        for voltage in (0.6, 0.625)
+    ] + [
+        ("xsbench", "killi+dected_1:8", 21, 2500, 0.6, {option: value})
+        for option, value in (
+            ("inverted_write_training", True),
+            ("train_on_evict", False),
+            ("priority_replacement", False),
+        )
+    ]
+
     @pytest.mark.parametrize(
         "workload,scheme_name,seed,accesses,voltage,scheme_config",
         CASES,
@@ -110,6 +141,20 @@ class TestInterpreterEquivalence:
     def test_scheme_state_bit_identical(
         self, workload, scheme_name, seed, accesses, voltage, scheme_config
     ):
+        self._check(workload, scheme_name, seed, accesses, voltage, scheme_config)
+
+    @pytest.mark.parametrize(
+        "workload,scheme_name,seed,accesses,voltage,scheme_config",
+        STRONG_CASES,
+        ids=["-".join(map(str, case[:5] + tuple(case[5]))) for case in STRONG_CASES],
+    )
+    def test_strong_code_bit_identical(
+        self, workload, scheme_name, seed, accesses, voltage, scheme_config
+    ):
+        self._check(workload, scheme_name, seed, accesses, voltage, scheme_config)
+
+    @staticmethod
+    def _check(workload, scheme_name, seed, accesses, voltage, scheme_config):
         from repro.scenario.config import cell_scenario
         from repro.testing.differential import diff_scenario, run_scenario
 
@@ -122,6 +167,22 @@ class TestInterpreterEquivalence:
         assert sum(histogram.values()) == GpuConfig().l2.n_lines
         divergence = diff_scenario(scenario)
         assert divergence is None, divergence.describe()
+
+    def test_strong_code_never_falls_back(self):
+        """Every strong-code access runs through the interpreter."""
+        METRICS.enable(propagate_env=False)
+        try:
+            METRICS.reset()
+            sim, _ = build_sim("batched", "killi+dected_1:8", 11, voltage=0.6)
+            sim.run(workload_trace(
+                "nekbone", 1500, n_cus=sim.config.n_cus,
+                rng=RngFactory(11).stream("trace/nekbone"),
+            ))
+            counters = METRICS.snapshot()["counters"]
+        finally:
+            METRICS.disable()
+        assert counters["engine.batched.fallback.KilliStrongScheme"] == 0
+        assert counters["engine.batched.accesses_batched"] > 0
 
     def test_multi_kernel_dfh_carryover(self):
         """DFH training persists across kernels (paper footnote 6):
@@ -197,7 +258,7 @@ class TestDirectedRngAbort:
         errors = scheme.errors
         assoc = scheme.geometry.associativity
         for slot in range(scheme.geometry.n_lines):
-            if errors.slot_has_active(slot):
+            if has_active(errors, slot):
                 return slot // assoc, slot % assoc
         pytest.fail("fault map has no active slot at this voltage")
 
@@ -344,7 +405,7 @@ class TestInterleavedPauses:
             on_write_hit = errors.on_write_hit
 
             def counted(line_id):
-                if errors.slot_has_active(line_id):
+                if has_active(errors, line_id):
                     rng_writes.append(line_id)
                 on_write_hit(line_id)
 
@@ -493,7 +554,7 @@ class TestPerSetEpochs:
         n_sets = scheme.geometry.n_sets
         clean_sets = [
             s for s in range(n_sets)
-            if not any(errors.slot_has_active(s * assoc + w) for w in range(2))
+            if not any(has_active(errors, s * assoc + w) for w in range(2))
         ]
         set_a, set_b = clean_sets[0], clean_sets[1]
         line_bytes = scheme.geometry.line_bytes
@@ -534,7 +595,7 @@ class TestPerSetEpochs:
 
 
 class TestEccCacheMirrors:
-    """The O(1) membership mirrors against the authoritative key lists."""
+    """The O(1) membership mirror against the authoritative key lists."""
 
     L2_SETS, L2_ASSOC = 32, 4
 
@@ -573,7 +634,6 @@ class TestEccCacheMirrors:
         mirrored, plain, live = self._random_ops(seed)
         assert mirrored.occupancy == plain.occupancy == len(live)
         for s in range(self.L2_SETS):
-            assert mirrored.has_entries_for(s) == plain.has_entries_for(s)
             for w in range(self.L2_ASSOC):
                 assert mirrored.contains(s, w) == plain.contains(s, w)
                 assert mirrored.contains(s, w) == ((s, w) in live)
@@ -585,9 +645,9 @@ class TestEccCacheMirrors:
             ecc.insert(l2_set, i)
         evicted = ecc.insert(4, 0)  # single-set cache: LRU falls out
         assert evicted == (0, 0)
-        assert not ecc.contains(0, 0)
-        assert not ecc.has_entries_for(0)
+        assert not any(ecc.contains(0, w) for w in range(self.L2_ASSOC))
         assert ecc.contains(4, 0)
+        assert ecc.occupancy == 4
 
 
 SIGNAL_SPACE = [
@@ -639,21 +699,25 @@ class TestBatchKernels:
             )
 
 
-class TestBatchedFillPredicate:
-    """``fills_would_be_clean`` against the scalar ``fill_would_be_clean``."""
+class TestInterpreterGate:
+    """``batch_interpreter`` refuses what the interpreter cannot replay."""
 
-    def test_matches_scalar_over_fault_census(self):
-        _, scheme = build_sim("scalar", "killi_1:8", 21)
-        errors = scheme.errors
-        n_lines = scheme.geometry.n_lines
-        rng = np.random.default_rng(17)
-        slots = rng.integers(0, n_lines, 512, dtype=np.int64)
-        salts = rng.integers(0, 64, 512, dtype=np.int64)
-        batched = errors.fills_would_be_clean(slots, salts)
-        scalar = [
-            errors.fill_would_be_clean(int(slot), int(salt))
-            for slot, salt in zip(slots, salts)
-        ]
-        assert batched.tolist() == scalar
-        # The census must actually contain both outcomes at 0.625V.
-        assert not batched.all() and batched.any()
+    def test_strong_code_gets_the_interpreter(self):
+        sim, scheme = build_sim("batched", "killi+olsc-t11_1:8", 3)
+        assert scheme.batch_interpreter(sim.l2) is not None
+
+    def test_hook_override_is_refused(self):
+        class CustomReadHit(KilliScheme):
+            def on_read_hit(self, set_index, way):
+                return super().on_read_hit(set_index, way)
+
+        sim, scheme = build_sim("batched", "killi_1:8", 3)
+        scheme.__class__ = CustomReadHit
+        assert scheme.batch_interpreter(sim.l2) is None
+
+    def test_soft_error_injector_is_refused(self):
+        sim, scheme = build_sim("batched", "killi_1:8", 3)
+        scheme.soft_injector = SoftErrorInjector(
+            1e-3, rng=np.random.default_rng(0)
+        )
+        assert scheme.batch_interpreter(sim.l2) is None
